@@ -27,11 +27,9 @@ namespace {
 
 struct Case {
   std::string name;
-  // Owners: the run plan points into the app's task graph, so whichever app
-  // produced it must outlive the simulations.
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
-  std::shared_ptr<num::TriSolveApp> trisolve;
+  // The run plan points into the app's task graph, so the app must outlive
+  // the simulations.
+  std::shared_ptr<const num::App> app;
   rt::RunPlan plan;
   std::int64_t min_mem = 0;
 };
@@ -87,8 +85,8 @@ int main(int argc, char** argv) {
     const auto s = bench::make_schedule(inst, bench::OrderingKind::kMpo);
     Case c;
     c.name = "cholesky (uniform blocks)";
-    c.cholesky = inst.cholesky;
-    c.plan = rt::build_run_plan(*inst.graph, s);
+    c.app = inst.app;
+    c.plan = rt::build_run_plan(inst.graph(), s);
     c.min_mem = bench::min_mem(inst, s);
     cases.push_back(std::move(c));
   }
@@ -98,8 +96,8 @@ int main(int argc, char** argv) {
     const auto s = bench::make_schedule(inst, bench::OrderingKind::kMpo);
     Case c;
     c.name = "LU (column blocks)";
-    c.lu = inst.lu;
-    c.plan = rt::build_run_plan(*inst.graph, s);
+    c.app = inst.app;
+    c.plan = rt::build_run_plan(inst.graph(), s);
     c.min_mem = bench::min_mem(inst, s);
     cases.push_back(std::move(c));
   }
@@ -114,7 +112,7 @@ int main(int argc, char** argv) {
         sched::schedule_mpo(app->graph(), assignment, procs, params);
     Case c;
     c.name = "trisolve (mixed sizes)";
-    c.trisolve = app;
+    c.app = app;
     c.plan = rt::build_run_plan(app->graph(), s);
     c.min_mem = sched::analyze_liveness(app->graph(), s).min_mem();
     cases.push_back(std::move(c));

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     const auto schedule = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     const auto capacity = static_cast<std::int64_t>(
         static_cast<double>(bench::tot_mem(inst, schedule)) * 0.5);
-    const rt::RunPlan plan = rt::build_run_plan(*inst.graph, schedule);
+    const rt::RunPlan plan = rt::build_run_plan(inst.graph(), schedule);
     double base_time = 0.0;
     std::vector<std::string> row = {std::to_string(p)};
     for (std::int32_t slots : {1, 2, 4, 1 << 20}) {

@@ -15,12 +15,9 @@ namespace {
 
 void run_panel(const char* title, bool lu, double scale, sparse::Index block,
                int procs, JsonValue& panels) {
-  const num::Workload workload =
-      lu ? num::goodwin_like(scale) : num::bcsstk24_like(scale);
   const bench::Instance inst =
-      lu ? bench::make_lu_instance(workload, block, procs)
-         : bench::make_cholesky_instance(workload, block, procs);
-  std::printf("--- %s (%s, p = %d) ---\n", title, workload.name.c_str(),
+      bench::make_seed_instance(lu, scale, block, procs);
+  std::printf("--- %s (%s, p = %d) ---\n", title, inst.name.c_str(),
               procs);
 
   const auto rcp = bench::make_schedule(inst, bench::OrderingKind::kRcp);

@@ -14,7 +14,6 @@
 
 #include "common.hpp"
 #include "rapid/num/dispatch.hpp"
-#include "rapid/num/reference.hpp"
 #include "rapid/obs/metrics.hpp"
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/threaded_executor.hpp"
@@ -58,10 +57,8 @@ RunStats run_threaded(const bench::Instance& inst, const rt::RunPlan& plan,
   config.capacity_per_proc = capacity;
   config.active_memory = active;
   config.slab_arena = slab;
-  const rt::ObjectInit init =
-      inst.cholesky ? inst.cholesky->make_init() : inst.lu->make_init();
-  const rt::TaskBody body =
-      inst.cholesky ? inst.cholesky->make_body() : inst.lu->make_body();
+  const rt::ObjectInit init = inst.app->make_init();
+  const rt::TaskBody body = inst.app->make_body();
   rt::ThreadedOptions options;
   options.faults = faults;
   options.checksum = checksum;
@@ -85,13 +82,7 @@ RunStats run_threaded(const bench::Instance& inst, const rt::RunPlan& plan,
       return stats;  // caller escalates capacity
     }
     if (rep == 0) {
-      if (inst.cholesky) {
-        stats.residual = num::cholesky_residual(
-            inst.cholesky->matrix(), inst.cholesky->extract_l_dense(exec));
-      } else {
-        const auto ex = inst.lu->extract(exec);
-        stats.residual = num::lu_residual(inst.lu->matrix(), ex.lu, ex.piv);
-      }
+      stats.residual = inst.app->residual(exec);
       if (stats.residual >= 1e-8) {
         stats.numerics_ok = false;
         std::fprintf(stderr, "numerically wrong run, residual %g\n",
@@ -257,20 +248,20 @@ int main(int argc, char** argv) {
   try {
   for (const std::int64_t p64 : flags.get_int_list("procs")) {
     const int p = static_cast<int>(p64);
-    std::vector<bench::Instance> instances;
+    // (row label prefix, instance)
+    std::vector<std::pair<std::string, bench::Instance>> instances;
     if (which == "cholesky" || which == "both") {
-      instances.push_back(
-          bench::make_cholesky_instance(num::bcsstk24_like(scale), block, p));
+      instances.emplace_back("chol/",
+                             bench::make_seed_instance(false, scale, block, p));
     }
     if (which == "lu" || which == "both") {
-      instances.push_back(
-          bench::make_lu_instance(num::goodwin_like(scale), block, p));
+      instances.emplace_back("lu/",
+                             bench::make_seed_instance(true, scale, block, p));
     }
-    for (const bench::Instance& inst : instances) {
-      const std::string workload = cat(inst.cholesky ? "chol/" : "lu/",
-                                       inst.name);
+    for (const auto& [kind, inst] : instances) {
+      const std::string workload = kind + inst.name;
       const auto schedule = bench::make_schedule(inst, bench::OrderingKind::kRcp);
-      const rt::RunPlan plan = rt::build_run_plan(*inst.graph, schedule);
+      const rt::RunPlan plan = rt::build_run_plan(inst.graph(), schedule);
       const std::int64_t tot = bench::tot_mem(inst, schedule);
       const std::int64_t min = bench::min_mem(inst, schedule);
 

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "rapid/machine/params.hpp"
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/num/workloads.hpp"
 #include "rapid/rt/report.hpp"
 #include "rapid/sched/liveness.hpp"
@@ -30,13 +29,12 @@ const char* ordering_name(OrderingKind kind);
 struct Instance {
   std::string name;
   int num_procs = 0;
-  graph::TaskGraph* graph = nullptr;  // owned by the app variant below
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
+  std::shared_ptr<const num::App> app;  // owns the graph
   std::vector<graph::ProcId> assignment;
   machine::MachineParams params;
 
-  std::int64_t sequential_space() const { return graph->sequential_space(); }
+  const graph::TaskGraph& graph() const { return app->graph(); }
+  std::int64_t sequential_space() const { return graph().sequential_space(); }
 };
 
 /// Builds the Cholesky instance (2-D block mapping) for a workload.
@@ -46,6 +44,11 @@ Instance make_cholesky_instance(const num::Workload& workload,
 /// Builds the LU instance (1-D column-block mapping) for a workload.
 Instance make_lu_instance(const num::Workload& workload, sparse::Index block,
                           int procs);
+
+/// The paper's two seed problems at `scale`: LU on the goodwin-like matrix
+/// when `lu`, else Cholesky on the BCSSTK24-like one.
+Instance make_seed_instance(bool lu, double scale, sparse::Index block,
+                            int procs);
 
 /// Orders the instance's tasks. For kDtsMerged, volatile_budget must be the
 /// per-processor budget available to volatiles (capacity − max permanent).

@@ -19,12 +19,8 @@ void run_panel(const char* title, bool lu, double scale, sparse::Index block,
   std::printf("--- %s ---\n", title);
   TextTable table({"p", "perfect (=p)", "RCP", "MPO", "DTS"});
   for (const auto p : procs) {
-    const num::Workload workload =
-        lu ? num::goodwin_like(scale) : num::bcsstk24_like(scale);
     const bench::Instance inst =
-        lu ? bench::make_lu_instance(workload, block, static_cast<int>(p))
-           : bench::make_cholesky_instance(workload, block,
-                                           static_cast<int>(p));
+        bench::make_seed_instance(lu, scale, block, static_cast<int>(p));
     std::vector<std::string> row = {std::to_string(p),
                                     fixed(static_cast<double>(p), 2)};
     for (auto kind : {bench::OrderingKind::kRcp, bench::OrderingKind::kMpo,

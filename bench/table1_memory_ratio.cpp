@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       const bench::Instance inst = bench::make_cholesky_instance(w, block, p);
       const auto schedule =
           bench::make_schedule(inst, bench::OrderingKind::kRcp);
-      const auto liveness = sched::analyze_liveness(*inst.graph, schedule);
+      const auto liveness = sched::analyze_liveness(inst.graph(), schedule);
       const double lower = static_cast<double>(inst.sequential_space()) / p;
       double avg_usage = 0.0;
       for (const auto& proc : liveness.procs) {

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const bench::SimResult no_recycle =
         bench::run_sim(inst, rcp, capacity, /*active_memory=*/false);
     const bench::SimResult active = bench::run_sim(inst, rcp, capacity);
-    const double flops = inst.graph->total_flops();
+    const double flops = inst.graph().total_flops();
     std::string pt = "inf", maps = "inf", mflops = "-";
     if (active.executable) {
       pt = fixed(active.parallel_time_us / 1e3, 1);

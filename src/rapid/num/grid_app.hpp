@@ -16,19 +16,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "rapid/graph/task_graph.hpp"
-#include "rapid/rt/threaded_executor.hpp"
+#include "rapid/num/app.hpp"
 
 namespace rapid::num {
 
-class GridIntApp {
+class GridIntApp final : public App {
  public:
   /// Builds the graph for a rows x cols wavefront on num_procs cyclic
   /// owners. delay_us <= 0 means task bodies run at full speed.
   static GridIntApp build(int rows, int cols, int num_procs,
                           std::int64_t delay_us = 0);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   std::int64_t delay_us() const { return delay_us_; }
@@ -37,9 +36,11 @@ class GridIntApp {
   /// interpretation in program order.
   const std::vector<std::int64_t>& expected() const { return expected_; }
 
-  /// Callbacks for the threaded executor. The app must outlive the run.
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// max_abs_error() as a double.
+  double residual(const rt::ThreadedExecutor& exec) const override;
+  bool residual_ok(double residual) const override { return residual == 0; }
 
   /// Largest |final - expected| over all objects after a successful run;
   /// exactly 0 when the protocol delivered every version correctly.

@@ -1,8 +1,16 @@
 #include "rapid/num/shm_workloads.hpp"
 
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <utility>
 
-#include "rapid/num/reference.hpp"
+#include "rapid/num/cholesky_app.hpp"
+#include "rapid/num/grid_app.hpp"
+#include "rapid/num/lu_app.hpp"
+#include "rapid/num/nbody_app.hpp"
+#include "rapid/num/trisolve_app.hpp"
+#include "rapid/num/workloads.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/sched/mapping.hpp"
 #include "rapid/sched/ordering.hpp"
@@ -15,113 +23,146 @@ namespace rapid::num {
 
 namespace {
 
-struct SpecParams {
-  std::string app;
-  sparse::Index grid = 12;
-  sparse::Index block = 4;
-  int procs = 4;
-  std::string sched = "rcp";
-  // grid app only
-  int rows = 8;
-  int cols = 8;
-  std::int64_t delay = 0;
-};
-
-SpecParams parse_spec(const std::string& spec) {
-  SpecParams p;
-  const std::size_t colon = spec.find(':');
-  p.app = spec.substr(0, colon);
-  std::string rest =
-      colon == std::string::npos ? std::string() : spec.substr(colon + 1);
-  std::size_t pos = 0;
-  while (pos < rest.size()) {
-    std::size_t comma = rest.find(',', pos);
-    if (comma == std::string::npos) comma = rest.size();
-    const std::string kv = rest.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    RAPID_CHECK(eq != std::string::npos,
-                cat("shm workload spec: expected key=value, got \"", kv,
-                    "\" in \"", spec, "\""));
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "grid") {
-      p.grid = static_cast<sparse::Index>(std::stoll(val));
-    } else if (key == "block") {
-      p.block = static_cast<sparse::Index>(std::stoll(val));
-    } else if (key == "procs") {
-      p.procs = static_cast<int>(std::stoll(val));
-    } else if (key == "sched") {
-      p.sched = val;
-    } else if (key == "rows") {
-      p.rows = static_cast<int>(std::stoll(val));
-    } else if (key == "cols") {
-      p.cols = static_cast<int>(std::stoll(val));
-    } else if (key == "delay") {
-      p.delay = std::stoll(val);
-    } else {
-      RAPID_CHECK(false, cat("shm workload spec: unknown key \"", key,
-                             "\" in \"", spec, "\""));
-    }
-  }
-  RAPID_CHECK(p.grid >= 2 && p.block >= 1 && p.procs >= 1 && p.rows >= 1 &&
-                  p.cols >= 1 && p.delay >= 0,
-              cat("shm workload spec: degenerate parameters in \"", spec,
-                  "\""));
-  RAPID_CHECK(p.sched == "rcp" || p.sched == "dts" || p.sched == "mpo",
-              cat("shm workload spec: sched must be rcp, dts or mpo in \"",
-                  spec, "\""));
-  return p;
-}
-
 sparse::CscMatrix nd_grid(sparse::Index s) {
   sparse::CscMatrix a = sparse::grid_laplacian_2d(s, s);
   return a.permuted_symmetric(sparse::nested_dissection_2d(s, s));
 }
 
+/// The matrix the factorization and solve apps run on; `spd_only` refuses
+/// the unsymmetric instance.
+sparse::CscMatrix spec_matrix(const WorkloadSpec& s, const std::string& spec,
+                              bool spd_only) {
+  if (s.matrix == "nd") return nd_grid(s.grid);
+  Workload w = s.matrix == "bcsstk15"   ? bcsstk15_like(s.scale)
+               : s.matrix == "bcsstk24" ? bcsstk24_like(s.scale)
+               : s.matrix == "bcsstk33" ? bcsstk33_like(s.scale)
+               : s.matrix == "goodwin"
+                   ? goodwin_like(s.scale)
+                   : throw Error(cat("workload spec: matrix must be nd, "
+                                     "bcsstk15, bcsstk24, bcsstk33 or goodwin "
+                                     "in \"", spec, "\""));
+  RAPID_CHECK(w.spd || !spd_only,
+              cat("workload spec: ", s.app, " needs an SPD matrix, but ",
+                  s.matrix, " is unsymmetric, in \"", spec, "\""));
+  return std::move(w.matrix);
+}
+
+std::unique_ptr<App> build_app(const WorkloadSpec& s,
+                               const std::string& spec) {
+  if (s.app == "cholesky") {
+    return std::make_unique<CholeskyApp>(
+        CholeskyApp::build(spec_matrix(s, spec, true), s.block, s.procs));
+  }
+  if (s.app == "lu") {
+    return std::make_unique<LuApp>(
+        LuApp::build(spec_matrix(s, spec, false), s.block, s.procs));
+  }
+  if (s.app == "trisolve") {
+    return std::make_unique<TriSolveApp>(
+        TriSolveApp::build(spec_matrix(s, spec, true), s.block, s.procs));
+  }
+  if (s.app == "grid") {
+    return std::make_unique<GridIntApp>(GridIntApp::build(
+        s.rows.value_or(8), s.cols.value_or(8), s.procs, s.delay));
+  }
+  if (s.app == "nbody") {
+    NBodyConfig config;
+    config.height = s.rows.value_or(config.height);
+    config.width = s.cols.value_or(config.width);
+    return std::make_unique<NBodyApp>(NBodyApp::build(config, s.procs));
+  }
+  RAPID_FAIL(cat("workload spec: unknown app \"", s.app,
+                 "\" (want cholesky, lu, trisolve, grid or nbody) in \"",
+                 spec, "\""));
+}
+
 }  // namespace
 
-double ShmWorkload::residual(const rt::ThreadedExecutor& exec) const {
-  if (cholesky) {
-    return cholesky_residual(cholesky->matrix(),
-                             cholesky->extract_l_dense(exec));
+WorkloadSpec parse_workload_spec(const std::string& spec) {
+  WorkloadSpec p;
+  const std::size_t colon = spec.find(':');
+  p.app = spec.substr(0, colon);
+  const std::string where = cat(" in \"", spec, "\"");
+  const std::string rest =
+      colon == std::string::npos ? std::string() : spec.substr(colon + 1);
+  for (const std::string& kv : split(rest, ',')) {
+    if (kv.empty()) continue;
+    const std::size_t eq = kv.find('=');
+    RAPID_CHECK(eq != std::string::npos,
+                cat("workload spec: expected key=value, got \"", kv, "\"",
+                    where));
+    const std::string key = kv.substr(0, eq);
+    const std::string val = kv.substr(eq + 1);
+    // Strict integer in [lo, hi]: no trailing characters, no wraparound.
+    const auto integer = [&](std::int64_t lo, std::int64_t hi) {
+      char* end = nullptr;
+      errno = 0;
+      const long long v = std::strtoll(val.c_str(), &end, 10);
+      RAPID_CHECK(!val.empty() && *end == '\0' && errno != ERANGE,
+                  cat("workload spec: ", key, " expects an integer, got \"",
+                      val, "\"", where));
+      RAPID_CHECK(lo <= v && v <= hi, cat("workload spec: ", key, "=", v,
+                                          " is outside [", lo, ", ", hi, "]",
+                                          where));
+      return static_cast<int>(v);
+    };
+    constexpr int kUnbounded = std::numeric_limits<int>::max();
+    if (key == "matrix") {
+      p.matrix = val;
+    } else if (key == "scale") {
+      char* end = nullptr;
+      p.scale = std::strtod(val.c_str(), &end);
+      RAPID_CHECK(!val.empty() && *end == '\0' && p.scale > 0.0 &&
+                      p.scale <= 1.0,
+                  cat("workload spec: scale expects a number in (0, 1], got "
+                      "\"", val, "\"", where));
+    } else if (key == "grid") {
+      p.grid = integer(2, kMaxSpecExtent);
+    } else if (key == "block") {
+      p.block = integer(1, kUnbounded);
+    } else if (key == "procs") {
+      p.procs = integer(1, kMaxSpecProcs);
+    } else if (key == "sched") {
+      RAPID_CHECK(val == "rcp" || val == "dts" || val == "mpo",
+                  cat("workload spec: sched must be rcp, dts or mpo", where));
+      p.sched = val;
+    } else if (key == "rows") {
+      p.rows = integer(1, kMaxSpecExtent);
+    } else if (key == "cols") {
+      p.cols = integer(1, kMaxSpecExtent);
+    } else if (key == "delay") {
+      p.delay = integer(0, kUnbounded);
+    } else {
+      RAPID_FAIL(cat("workload spec: unknown key \"", key, "\"", where));
+    }
   }
-  if (grid) return static_cast<double>(grid->max_abs_error(exec));
-  const LuApp::Extracted x = lu->extract(exec);
-  return lu_residual(lu->matrix(), x.lu, x.piv);
+  return p;
+}
+
+PlannedGraph plan_graph(const graph::TaskGraph& graph,
+                        const WorkloadSpec& spec) {
+  const int procs = spec.procs;
+  const auto assignment = sched::owner_compute_tasks(graph, procs);
+  const auto params = machine::MachineParams::cray_t3d(procs);
+  const sched::Schedule schedule =
+      spec.sched == "dts"
+          ? sched::schedule_dts(graph, assignment, procs, params)
+      : spec.sched == "mpo"
+          ? sched::schedule_mpo(graph, assignment, procs, params)
+          : sched::schedule_rcp(graph, assignment, procs, params);
+  PlannedGraph out;
+  out.plan = rt::build_run_plan(graph, schedule);
+  const auto liveness = sched::analyze_liveness(graph, schedule);
+  out.min_mem = liveness.min_mem();
+  out.tot_mem = liveness.tot_mem();
+  return out;
 }
 
 std::unique_ptr<ShmWorkload> build_shm_workload(const std::string& spec) {
-  const SpecParams p = parse_spec(spec);
+  const WorkloadSpec s = parse_workload_spec(spec);
   auto out = std::make_unique<ShmWorkload>();
-  out->spec = spec;
-  if (p.app == "cholesky") {
-    out->cholesky = std::make_unique<CholeskyApp>(
-        CholeskyApp::build(nd_grid(p.grid), p.block, p.procs));
-  } else if (p.app == "lu") {
-    out->lu = std::make_unique<LuApp>(
-        LuApp::build(nd_grid(p.grid), p.block, p.procs));
-  } else if (p.app == "grid") {
-    out->grid = std::make_unique<GridIntApp>(
-        GridIntApp::build(p.rows, p.cols, p.procs, p.delay));
-  } else {
-    RAPID_CHECK(false, cat("shm workload spec: unknown app \"", p.app,
-                           "\" (want cholesky, lu or grid) in \"", spec,
-                           "\""));
-  }
-  const graph::TaskGraph& g = out->graph();
-  const auto assignment = sched::owner_compute_tasks(g, p.procs);
-  const auto params = machine::MachineParams::cray_t3d(p.procs);
-  out->schedule =
-      p.sched == "dts" ? sched::schedule_dts(g, assignment, p.procs, params)
-      : p.sched == "mpo"
-          ? sched::schedule_mpo(g, assignment, p.procs, params)
-          : sched::schedule_rcp(g, assignment, p.procs, params);
-  out->plan = rt::build_run_plan(g, out->schedule);
-  const auto liveness = sched::analyze_liveness(g, out->schedule);
-  out->min_mem = liveness.min_mem();
-  out->tot_mem = liveness.tot_mem();
+  out->app = build_app(s, spec);
+  static_cast<PlannedGraph&>(*out) = plan_graph(out->graph(), s);
   return out;
 }
 

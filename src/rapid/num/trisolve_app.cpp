@@ -1,5 +1,6 @@
 #include "rapid/num/trisolve_app.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -207,23 +208,16 @@ rt::TaskBody TriSolveApp::make_body() const {
   };
 }
 
-std::vector<double> TriSolveApp::extract_solution(
-    const rt::ThreadedExecutor& exec) const {
-  std::vector<double> x(static_cast<std::size_t>(layout_.n), 0.0);
+double TriSolveApp::residual(const rt::ThreadedExecutor& exec) const {
+  double worst = 0.0;
   for (Index bi = 0; bi < layout_.num_blocks; ++bi) {
     const std::vector<std::byte> bytes = exec.read_object(segment_[bi]);
-    const auto* v = reinterpret_cast<const double*>(bytes.data());
-    const Index r0 = layout_.block_begin(bi);
     for (Index r = 0; r < layout_.block_width(bi); ++r) {
-      x[r0 + r] = v[r];
+      double x = 0.0;
+      std::memcpy(&x, bytes.data() + r * sizeof(double), sizeof(x));
+      worst = std::max(worst, std::abs(x - 1.0));
     }
   }
-  return x;
-}
-
-double TriSolveApp::solution_error(const std::vector<double>& x) {
-  double worst = 0.0;
-  for (double xi : x) worst = std::max(worst, std::abs(xi - 1.0));
   return worst;
 }
 

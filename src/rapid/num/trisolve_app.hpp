@@ -17,8 +17,7 @@
 
 #include <vector>
 
-#include "rapid/graph/task_graph.hpp"
-#include "rapid/rt/threaded_executor.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/sparse/blocks.hpp"
 #include "rapid/sparse/csc.hpp"
 
@@ -26,7 +25,7 @@ namespace rapid::num {
 
 using sparse::Index;
 
-class TriSolveApp {
+class TriSolveApp final : public App {
  public:
   struct TaskInfo {
     enum class Kind {
@@ -46,21 +45,17 @@ class TriSolveApp {
   static TriSolveApp build(sparse::CscMatrix a, Index block_size,
                            int num_procs);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   graph::TaskGraph& mutable_graph() { return graph_; }
   const sparse::CscMatrix& matrix() const { return a_; }
   const sparse::BlockLayout& layout() const { return layout_; }
   const TaskInfo& info(graph::TaskId t) const { return task_info_[t]; }
 
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
-
-  /// Gathers the solution vector after a run.
-  std::vector<double> extract_solution(
-      const rt::ThreadedExecutor& exec) const;
-
-  /// max_i |x_i - 1| for the built right-hand side.
-  static double solution_error(const std::vector<double>& x);
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// max_i |x_i - 1| of the gathered solution (the built right-hand side
+  /// makes the exact solution all ones).
+  double residual(const rt::ThreadedExecutor& exec) const override;
 
  private:
   graph::DataId l_block(Index bi, Index bj) const;

@@ -5,30 +5,29 @@
 // high-water marks vs. capacity and the paper's S1/p bound.
 //
 //   ./rapid_trace                                  # Cholesky, p=8, threaded
-//   ./rapid_trace --workload=lu --procs=4 --executor=sim --out=lu_p4
+//   ./rapid_trace --workload=lu:matrix=goodwin,procs=4 --executor=sim
+//
+// --workload takes any num/shm_workloads.hpp spec, or `all` (the seed
+// cholesky and lu at p=8, written to <out>_cholesky.* and <out>_lu.*).
 //
 // The run is also a self-check of the tracing plane: it asserts that every
 // processor's trace carries all five protocol states (REC/EXE/SND/MAP/END),
-// that MAP alloc/free events are present, and that the occupancy profile's
-// high-water mark reconstructs the MAP engine's reported peak exactly.
+// that MAP alloc events (and free events, once memory recycles) are present,
+// and that the occupancy high-water mark is the MAP engine's peak exactly.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
-#include "rapid/num/workloads.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/obs/chrome_trace.hpp"
 #include "rapid/obs/metrics.hpp"
+#include "rapid/obs/telemetry.hpp"
 #include "rapid/obs/timeline.hpp"
 #include "rapid/obs/trace.hpp"
-#include "rapid/rt/plan.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
-#include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
 #include "rapid/support/exit_codes.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/str.hpp"
@@ -38,44 +37,16 @@ namespace {
 
 using namespace rapid;
 
-struct Workload {
-  std::string name;
-  graph::TaskGraph* graph = nullptr;
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
-};
+/// The default workload, and the seed pair `all` expands to.
+const std::string kDefaultSpec =
+    "cholesky:matrix=bcsstk24,scale=0.5,block=12,procs=8";
+const std::vector<std::string> kSeedSpecs = {
+    kDefaultSpec, "lu:matrix=goodwin,scale=0.5,block=12,procs=8"};
 
-Workload make_workload(const std::string& name, double scale,
-                       sparse::Index block, int procs) {
-  Workload w;
-  w.name = name;
-  if (name == "cholesky") {
-    auto workload = num::bcsstk24_like(scale);
-    w.cholesky = std::make_shared<num::CholeskyApp>(
-        num::CholeskyApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.cholesky->mutable_graph();
-  } else if (name == "lu") {
-    auto workload = num::goodwin_like(scale);
-    w.lu = std::make_shared<num::LuApp>(
-        num::LuApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.lu->mutable_graph();
-  } else {
-    RAPID_FAIL(cat("unknown workload '", name, "' (expected cholesky|lu)"));
-  }
-  return w;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  RAPID_CHECK(f != nullptr, cat("cannot open ", path, " for writing"));
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  RAPID_CHECK(written == content.size(), cat("short write to ", path));
-}
-
-/// The tracing plane's own acceptance checks (see ISSUE/docs): five states
-/// per processor, MAP events present where MAPs ran, and an occupancy
-/// high-water mark that equals the MAP engine's reported peak exactly.
+/// The tracing plane's own acceptance checks (docs/OBSERVABILITY.md): five
+/// states per processor, MAP events present where MAPs ran, and an
+/// occupancy high-water mark that equals the MAP engine's reported peak
+/// exactly.
 /// Returns the findings instead of throwing: a broken trace is the thing
 /// this tool checks (kExitFindings), not an infrastructure failure.
 std::vector<std::string> check_trace(const obs::Trace& trace,
@@ -115,57 +86,37 @@ std::vector<std::string> check_trace(const obs::Trace& trace,
   if (map_allocs == 0) {
     findings.push_back("no MAP alloc events in an active-memory run");
   }
-  if (map_frees == 0) {
-    findings.push_back("no MAP free events in an active-memory run");
+  // The first MAP has nothing dead to free, and a later MAP that freed
+  // nothing could not extend the allocated prefix, so a processor with two
+  // or more MAPs must have traced frees. A workload whose capacity covers
+  // TOT runs one MAP per processor and recycles nothing.
+  const bool recycled =
+      std::any_of(report.maps_per_proc.begin(), report.maps_per_proc.end(),
+                  [](std::int32_t maps) { return maps > 1; });
+  if (recycled && map_frees == 0) {
+    findings.push_back("no MAP free events although MAPs recycled memory");
   }
   return findings;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Flags flags;
-  flags.define("workload", "cholesky", "cholesky|lu");
-  flags.define("scale", "0.5", "workload scale in (0,1]");
-  flags.define("block", "12", "block size for the matrix partition");
-  flags.define("procs", "8", "number of processors");
-  flags.define("frac", "0.6",
-               "active-memory capacity as a fraction of TOT (escalated in "
-               "0.1 steps until the run executes)");
-  flags.define("executor", "threaded",
-               "threaded (wall-clock) or sim (modeled time)");
-  flags.define("events", "65536", "trace ring capacity per processor");
-  flags.define("out", "rapid_trace_out",
-               "output prefix: <out>.trace.json + <out>.occupancy.csv");
-  try {
-    flags.parse(argc, argv);
-  } catch (const rapid::Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return kExitInfraError;
-  }
-  if (flags.help_requested()) return kExitOk;
-
-  try {
-  const int procs = static_cast<int>(flags.get_int("procs"));
-  const double scale = flags.get_double("scale");
-  const auto block = static_cast<sparse::Index>(flags.get_int("block"));
+/// Runs one spec under the tracer and writes <prefix>.trace.json and
+/// <prefix>.occupancy.csv; returns the tool's exit code.
+int trace_one(const std::string& spec, const Flags& flags,
+              const std::string& prefix) {
   const std::string executor = flags.get("executor");
   const bool threaded = executor == "threaded";
   RAPID_CHECK(threaded || executor == "sim",
               cat("unknown executor '", executor, "'"));
 
-  const Workload w =
-      make_workload(flags.get("workload"), scale, block, procs);
+  const auto w = num::build_shm_workload(spec);
+  const graph::TaskGraph& graph = w->graph();
+  const rt::RunPlan& plan = w->plan;
+  const int procs = plan.num_procs;
   const auto params = machine::MachineParams::cray_t3d(procs);
-  const auto assignment = sched::owner_compute_tasks(*w.graph, procs);
-  const auto schedule =
-      sched::schedule_rcp(*w.graph, assignment, procs, params);
-  const rt::RunPlan plan = rt::build_run_plan(*w.graph, schedule);
-  const auto liveness = sched::analyze_liveness(*w.graph, schedule);
-  const std::int64_t tot = liveness.tot_mem();
-  const std::int64_t min = liveness.min_mem();
+  const std::int64_t tot = w->tot_mem;
+  const std::int64_t min = w->min_mem;
   const std::int64_t s1_per_p =
-      w.graph->sequential_space() / std::max(procs, 1);
+      graph.sequential_space() / std::max(procs, 1);
 
   obs::TraceConfig tcfg;
   tcfg.events_per_proc =
@@ -188,10 +139,8 @@ int main(int argc, char** argv) {
     if (threaded) {
       rt::ThreadedOptions options;
       options.trace = trace.get();
-      rt::ThreadedExecutor exec(
-          plan, config,
-          w.cholesky ? w.cholesky->make_init() : w.lu->make_init(),
-          w.cholesky ? w.cholesky->make_body() : w.lu->make_body(), options);
+      rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
+                                w->app->make_body(), options);
       report = exec.run();
     } else {
       report = rt::simulate(plan, config, trace.get());
@@ -205,22 +154,25 @@ int main(int argc, char** argv) {
   const std::vector<std::string> findings = check_trace(*trace, occ, report);
 
   obs::TraceLabels labels;
-  for (graph::TaskId t = 0; t < w.graph->num_tasks(); ++t) {
-    labels.tasks.push_back(w.graph->task(t).name);
+  for (graph::TaskId t = 0; t < graph.num_tasks(); ++t) {
+    labels.tasks.push_back(graph.task(t).name);
   }
-  for (graph::DataId d = 0; d < w.graph->num_data(); ++d) {
-    labels.objects.push_back(w.graph->data(d).name);
+  for (graph::DataId d = 0; d < graph.num_data(); ++d) {
+    labels.objects.push_back(graph.data(d).name);
   }
-  const std::string prefix = flags.get("out");
-  write_file(prefix + ".trace.json",
-             obs::chrome_trace(*trace, labels).dump());
-  write_file(prefix + ".occupancy.csv", obs::occupancy_csv(occ));
+  const bool wrote =
+      obs::atomic_write_file(prefix + ".trace.json",
+                             obs::chrome_trace(*trace, labels).dump()) &&
+      obs::atomic_write_file(prefix + ".occupancy.csv",
+                             obs::occupancy_csv(occ));
+  RAPID_CHECK(wrote, cat("cannot write ", prefix, ".trace.json or ", prefix,
+                         ".occupancy.csv"));
 
   const obs::MetricsSummary& m = *report.metrics;
   std::printf(
       "rapid_trace: %s on %d procs (%s executor), %lld tasks, "
       "%.2f ms %s time\n",
-      w.name.c_str(), procs, executor.c_str(),
+      spec.c_str(), procs, executor.c_str(),
       static_cast<long long>(report.tasks_executed),
       report.parallel_time_us / 1000.0, threaded ? "wall" : "modeled");
   std::printf(
@@ -273,8 +225,45 @@ int main(int argc, char** argv) {
     return kExitFindings;
   }
   return kExitOk;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Flags flags;
+  flags.define("workload", kDefaultSpec,
+               "workload spec (num/shm_workloads.hpp grammar), or all (the "
+               "seed cholesky and lu)");
+  flags.define("frac", "0.6",
+               "active-memory capacity as a fraction of TOT (escalated in "
+               "0.1 steps until the run executes)");
+  flags.define("executor", "threaded",
+               "threaded (wall-clock) or sim (modeled time)");
+  flags.define("events", "65536", "trace ring capacity per processor");
+  flags.define("out", "rapid_trace_out",
+               "output prefix: <out>.trace.json + <out>.occupancy.csv");
+  try {
+    flags.parse(argc, argv);
+  } catch (const rapid::Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return kExitInfraError;
+  }
+  if (flags.help_requested()) return kExitOk;
+
+  const bool all = flags.get("workload") == "all";
+  const std::vector<std::string> specs =
+      all ? kSeedSpecs : std::vector<std::string>{flags.get("workload")};
+  int rc = kExitOk;
+  try {
+    for (const std::string& spec : specs) {
+      const std::string prefix =
+          all ? cat(flags.get("out"), "_", spec.substr(0, spec.find(':')))
+              : flags.get("out");
+      rc = std::max(rc, trace_one(spec, flags, prefix));
+    }
   } catch (const rapid::Error& e) {
     std::fprintf(stderr, "rapid_trace: %s\n", e.what());
     return kExitInfraError;
   }
+  return rc;
 }

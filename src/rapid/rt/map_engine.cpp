@@ -1,6 +1,7 @@
 #include "rapid/rt/map_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "rapid/support/checksum.hpp"
 #include "rapid/support/str.hpp"
@@ -186,6 +187,65 @@ mem::Offset ProcMemory::offset_of(DataId d) const {
 
 bool ProcMemory::is_allocated(DataId d) const {
   return offsets_.count(d) != 0;
+}
+
+MapReplay replay_maps(const RunPlan& plan, ProcId proc,
+                      const ReplayOptions& options) {
+  const ProcPlan& pp = plan.procs[proc];
+  const graph::TaskGraph& graph = *plan.graph;
+  MapReplay out;
+  ReplayFailure& failure = out.failure;
+  std::optional<ProcMemory> memory;
+  std::int32_t pos = 0;
+  try {
+    memory.emplace(plan, proc, options.capacity, options.alignment,
+                   options.policy, options.slab);
+    if (!options.active) memory->preallocate_all();
+    const auto n = static_cast<std::int32_t>(pp.order.size());
+    for (; options.active && pos < n; ++pos) {
+      if (!memory->needs_map(pos)) continue;
+      MapResult map = memory->perform_map(pos);
+      ReplayedMap& m = out.maps.emplace_back();
+      m.pos = pos;
+      for (DataId d : map.freed) m.freed_bytes += graph.data(d).size_bytes;
+      for (DataId d : map.allocated) m.alloc_bytes += graph.data(d).size_bytes;
+      m.allocated = std::move(map.allocated);
+      m.alloc_upto = map.alloc_upto;
+      for (const auto& [owner, pkg] : map.packages) {
+        m.package_dests.push_back(owner);
+      }
+      m.in_use_after = memory->in_use_bytes();
+    }
+  } catch (const NonExecutableError& e) {
+    failure.message = e.what();
+    if (!memory) {  // the constructor allocates the permanents
+      failure.kind = ReplayFailureKind::kPerm;
+      failure.needed_bytes = pp.permanent_bytes;
+      return out;
+    }
+    failure.free_bytes = options.capacity - memory->in_use_bytes();
+    failure.largest_free_block = memory->arena().stats().largest_free_block;
+    if (!options.active) {
+      failure.kind = ReplayFailureKind::kTot;
+      failure.needed_bytes = pp.permanent_bytes;
+      for (const auto& v : pp.volatiles) failure.needed_bytes += v.size_bytes;
+    } else {
+      failure.kind = ReplayFailureKind::kMap;
+      failure.pos = pos;
+      failure.task = pp.order[pos];
+      for (DataId d : plan.tasks[failure.task].volatile_accesses) {
+        if (memory->is_allocated(d)) continue;
+        const std::int64_t size = graph.data(d).size_bytes;
+        failure.needed_bytes += size;
+        if (failure.worst == graph::kInvalidData ||
+            size > graph.data(failure.worst).size_bytes) {
+          failure.worst = d;
+        }
+      }
+    }
+  }
+  out.peak_bytes = memory->peak_bytes();
+  return out;
 }
 
 }  // namespace rapid::rt

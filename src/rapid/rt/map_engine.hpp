@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -124,5 +125,63 @@ class ProcMemory {
   std::int32_t alloc_upto_ = 0;
   FreeHook free_hook_;
 };
+
+/// Arena settings of a symbolic MAP replay; match the run's RunConfig.
+struct ReplayOptions {
+  std::int64_t capacity = 0;
+  std::int64_t alignment = 1;  // 8 for the threaded executor's arenas
+  mem::AllocPolicy policy = mem::AllocPolicy::kFirstFit;
+  bool slab = false;
+  bool active = true;  // false: baseline preallocation, no MAPs
+};
+
+/// One MAP as the replay performed it.
+struct ReplayedMap {
+  std::int32_t pos = 0;
+  std::int64_t freed_bytes = 0;
+  std::int64_t alloc_bytes = 0;
+  std::vector<DataId> allocated;
+  std::int32_t alloc_upto = 0;
+  std::vector<ProcId> package_dests;  // one per address package
+  std::int64_t in_use_after = 0;      // arena bytes right after the MAP
+};
+
+enum class ReplayFailureKind : std::uint8_t {
+  kNone,
+  kPerm,  // permanent objects alone exceed the capacity
+  kTot,   // baseline mode: preallocated volatiles do not fit
+  kMap,   // a MAP cannot allocate its task's volatiles (Def. 6)
+};
+
+/// Where and why a replay stopped. For kMap the arena figures are taken
+/// after the MAP freed every dead volatile and rolled back the failing
+/// task's partial allocations; pos, task and worst are kMap only.
+struct ReplayFailure {
+  ReplayFailureKind kind = ReplayFailureKind::kNone;
+  std::int32_t pos = -1;
+  TaskId task = graph::kInvalidTask;
+  /// Permanent bytes (kPerm), permanent + volatile bytes (kTot), or the
+  /// failing task's unallocated volatile bytes (kMap).
+  std::int64_t needed_bytes = 0;
+  std::int64_t free_bytes = 0;
+  std::int64_t largest_free_block = 0;
+  DataId worst = graph::kInvalidData;  // largest unallocated volatile
+  std::string message;  // the NonExecutableError text
+};
+
+struct MapReplay {
+  std::vector<ReplayedMap> maps;  // the MAPs that succeeded, in order
+  std::int64_t peak_bytes = 0;
+  ReplayFailure failure;
+
+  bool ok() const { return failure.kind == ReplayFailureKind::kNone; }
+};
+
+/// Replays processor `proc`'s MAP procedure on ProcMemory without running
+/// any task: the one replay that admission, the auditor's CAP-* rules and
+/// the conformance checker's CONF-CAP reference read. Capacity failures
+/// come back in `failure`, never as exceptions.
+MapReplay replay_maps(const RunPlan& plan, ProcId proc,
+                      const ReplayOptions& options);
 
 }  // namespace rapid::rt

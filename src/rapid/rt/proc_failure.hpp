@@ -67,9 +67,6 @@ class ProcFailureError : public Error {
       : Error(std::move(what)), report_(std::move(report)) {}
 
   const ProcFailureReport* report() const { return report_.get(); }
-  std::shared_ptr<const ProcFailureReport> shared_report() const {
-    return report_;
-  }
 
  private:
   std::shared_ptr<const ProcFailureReport> report_;

@@ -527,6 +527,13 @@ void ShmTransport::beat(ProcId q, std::uint8_t state, std::int32_t pos) {
   c.lease_ns.store(now_ns(), std::memory_order_release);
 }
 
+void ShmTransport::beat_if(ProcId q, std::uint8_t state) {
+  ShmRankCtl& c = l_->ctl[q];
+  if (c.state.load(std::memory_order_acquire) == state) {
+    c.lease_ns.store(now_ns(), std::memory_order_release);
+  }
+}
+
 void ShmTransport::beat_wait(ProcId q, DataId object, std::int32_t version,
                              TaskId flag, ProcId map_dest,
                              std::int32_t retry_attempts, bool exhausted) {
@@ -597,16 +604,6 @@ double ShmTransport::lease_age_seconds(ProcId q) const {
 
 bool ShmTransport::rank_failed(ProcId q) const {
   return l_->ctl[q].has_error.load(std::memory_order_acquire) != 0;
-}
-
-FailureKind ShmTransport::rank_failure_kind(ProcId q) const {
-  return static_cast<FailureKind>(
-      l_->ctl[q].error_kind.load(std::memory_order_acquire));
-}
-
-std::string ShmTransport::rank_failure_text(ProcId q) const {
-  const ShmRankCtl& c = l_->ctl[q];
-  return std::string(c.error_text, strnlen(c.error_text, sizeof(c.error_text)));
 }
 
 // ---------------------------------------------------------------------------

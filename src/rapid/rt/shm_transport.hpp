@@ -163,6 +163,10 @@ class ShmTransport final : public Transport {
   FailureKind first_failure_kind() const override;
   std::vector<std::string> failure_texts() const override;
   void beat(ProcId q, std::uint8_t state, std::int32_t pos) override;
+  /// Refreshes q's lease only while its published state is `state`: the
+  /// worker's heartbeat thread keeps a rank inside a long task body alive
+  /// without masking a rank wedged in any other state.
+  void beat_if(ProcId q, std::uint8_t state);
   void beat_wait(ProcId q, DataId object, std::int32_t version, TaskId flag,
                  ProcId map_dest, std::int32_t retry_attempts,
                  bool exhausted) override;
@@ -185,10 +189,8 @@ class ShmTransport final : public Transport {
   /// Lease age in seconds (now - last beat); a huge value before the first
   /// beat so "never attached" reads as lapsed once the grace period ends.
   double lease_age_seconds(ProcId q) const;
-  /// Per-rank failure details (valid when light/has_error says so).
+  /// Whether rank q recorded a failure in its control slot.
   bool rank_failed(ProcId q) const;
-  FailureKind rank_failure_kind(ProcId q) const;
-  std::string rank_failure_text(ProcId q) const;
 
  private:
   struct Layout;

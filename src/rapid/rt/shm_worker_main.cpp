@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
                         "spec \"", spec.workload_spec, "\": rebuilt ", fp,
                         ", coordinator planned ", spec.plan_fingerprint));
       }
-      rc = rt::shm_worker_run(*tp, wl->plan, wl->make_init(),
-                              wl->make_body());
+      rc = rt::shm_worker_run(*tp, wl->plan, wl->app->make_init(),
+                              wl->app->make_body());
     } catch (const std::exception& e) {
       // The segment is attached: report through it so the coordinator sees
       // a structured failure, not just a nonzero exit.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <deque>
@@ -1102,7 +1103,7 @@ struct ThreadedExecutor::Impl {
     std::uint64_t last = bell->value();
     Stopwatch since_progress;
     bool diagnosed = false;  // already analyzed this bell value
-    std::shared_ptr<const StallReport> pending;  // slow-progress diagnosis
+    std::shared_ptr<StallReport> pending;  // slow-progress diagnosis
     for (;;) {
       // Control value read before the exit checks: a ring that lands after
       // the read makes the park return immediately, so run termination is
@@ -1129,8 +1130,7 @@ struct ThreadedExecutor::Impl {
           report->retries_exhausted = true;
           stall_report = report;
           fail(graph::kInvalidProc,
-               cat("recovery retries exhausted after ", fixed(stalled, 2),
-                   " s without progress: ", report->summary()),
+               cat("recovery retries exhausted: ", report->summary()),
                FailureKind::kRetriesExhausted);
           break;
         }
@@ -1144,8 +1144,7 @@ struct ThreadedExecutor::Impl {
         if (report->genuine_deadlock && !recovery_on) {
           stall_report = report;
           fail(graph::kInvalidProc,
-               cat("protocol deadlock after ", fixed(stalled, 2), " s: ",
-                   report->summary()),
+               cat("protocol deadlock: ", report->summary()),
                FailureKind::kDeadlock);
           break;
         }
@@ -1158,10 +1157,11 @@ struct ThreadedExecutor::Impl {
           pending =
               std::make_shared<StallReport>(collect_and_diagnose(stalled));
         }
+        // The diagnosis may date from stall_after; the headline's one
+        // duration is the whole stall.
+        pending->stalled_seconds = stalled;
         stall_report = pending;
-        fail(graph::kInvalidProc,
-             cat("watchdog: no protocol progress for ", fixed(stalled, 2),
-                 " s: ", pending->summary()),
+        fail(graph::kInvalidProc, cat("watchdog: ", pending->summary()),
              FailureKind::kWatchdog);
         break;
       }
@@ -1917,7 +1917,7 @@ struct ThreadedExecutor::Impl {
     Stopwatch since_progress;
     Stopwatch since_start;
     bool diagnosed = false;
-    std::shared_ptr<const StallReport> pending;
+    std::shared_ptr<StallReport> pending;
     for (;;) {
       const std::uint64_t control_seen = control_bell->value();
       session->poll();
@@ -1937,16 +1937,15 @@ struct ThreadedExecutor::Impl {
       if (tp->quiescent_count() >= plan.num_procs || tp->aborted()) break;
       if (check_cancelled()) break;
       if (session->all_exited()) break;  // defensive: no child left to wait on
-      // Lease lapse: a rank that stopped beating while NOT inside a task
-      // body (kExe beats are suspended for the body's duration) is dead to
-      // the protocol even if the process still exists (SIGSTOP, livelock).
-      // Kill it so fail-stop is true, then report.
+      // Lease lapse: a rank that stopped beating (in EXE its heartbeat
+      // thread beats for the task body) is dead to the protocol even if the
+      // process still exists (SIGSTOP, livelock). Kill it so fail-stop is
+      // true, then report.
       for (ProcId q = 0; q < plan.num_procs && !proc_failure; ++q) {
         if (session->child(q).exited || st.worker_done(q)) continue;
         const LightState l = tp->light(q);
         const auto state = static_cast<ProcState>(l.state);
-        if (state == ProcState::kExe || state == ProcState::kQuiescent ||
-            state == ProcState::kFailed) {
+        if (state == ProcState::kQuiescent || state == ProcState::kFailed) {
           continue;
         }
         const double age = l.lease_ns == 0 ? since_start.seconds()
@@ -1977,16 +1976,14 @@ struct ThreadedExecutor::Impl {
           rep->retries_exhausted = true;
           stall_report = rep;
           fail(graph::kInvalidProc,
-               cat("recovery retries exhausted after ", fixed(stalled, 2),
-                   " s without progress: ", rep->summary()),
+               cat("recovery retries exhausted: ", rep->summary()),
                FailureKind::kRetriesExhausted);
           break;
         }
         if (rep->genuine_deadlock && !recovery_on) {
           stall_report = rep;
           fail(graph::kInvalidProc,
-               cat("protocol deadlock after ", fixed(stalled, 2), " s: ",
-                   rep->summary()),
+               cat("protocol deadlock: ", rep->summary()),
                FailureKind::kDeadlock);
           break;
         }
@@ -1996,10 +1993,9 @@ struct ThreadedExecutor::Impl {
         if (!pending) {
           pending = std::make_shared<StallReport>(shm_collect(stalled));
         }
+        pending->stalled_seconds = stalled;  // as in the in-process monitor
         stall_report = pending;
-        fail(graph::kInvalidProc,
-             cat("watchdog: no protocol progress for ", fixed(stalled, 2),
-                 " s: ", pending->summary()),
+        fail(graph::kInvalidProc, cat("watchdog: ", pending->summary()),
              FailureKind::kWatchdog);
         break;
       }
@@ -2183,7 +2179,23 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
   }
   transport.beat(q, static_cast<std::uint8_t>(ProcState::kStart), 0);
 
-  impl.worker(q);  // the full REC/EXE/SND/MAP/END loop, on this thread
+  {
+    // Task bodies do not beat, so this thread refreshes the lease while the
+    // rank is in EXE. SIGSTOP freezes it with the rest of the process, so
+    // the coordinator polices the lease in EXE as in every other state.
+    std::jthread heartbeat([&](std::stop_token stop) {
+      const std::chrono::duration<double> period(
+          options.lease_timeout_seconds / 4);
+      std::mutex m;
+      std::condition_variable_any cv;
+      std::unique_lock<std::mutex> lock(m);
+      while (!cv.wait_for(lock, stop, period, [] { return false; }) &&
+             !stop.stop_requested()) {
+        transport.beat_if(q, static_cast<std::uint8_t>(ProcState::kExe));
+      }
+    });
+    impl.worker(q);  // the full REC/EXE/SND/MAP/END loop, on this thread
+  }
 
   int rc = kShmWorkerClean;
   if (transport.rank_failed(q)) {

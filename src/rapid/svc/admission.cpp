@@ -1,8 +1,5 @@
 #include "rapid/svc/admission.hpp"
 
-#include <memory>
-#include <utility>
-
 #include "rapid/rt/map_engine.hpp"
 #include "rapid/support/str.hpp"
 
@@ -13,33 +10,21 @@ RunDemand compute_demand(const rt::RunPlan& plan,
   RunDemand demand;
   demand.peak_bytes_per_proc.reserve(
       static_cast<std::size_t>(plan.num_procs));
+  // Alignment 8 matches the threaded executor's arenas, so the replayed
+  // peaks are the bytes the real run will touch, not the Def. 5 lower bound.
+  const rt::ReplayOptions options{config.capacity_per_proc, 8,
+                                  config.alloc_policy, config.slab_arena,
+                                  config.active_memory};
   for (rt::ProcId p = 0; p < plan.num_procs; ++p) {
-    std::unique_ptr<rt::ProcMemory> memory;
-    try {
-      // Alignment 8 matches the threaded executor's arenas, so the replayed
-      // peaks are the bytes the real run will touch, not the Def. 5 lower
-      // bound.
-      memory = std::make_unique<rt::ProcMemory>(
-          plan, p, config.capacity_per_proc, /*alignment=*/8,
-          config.alloc_policy, config.slab_arena);
-      if (config.active_memory) {
-        const auto n =
-            static_cast<std::int32_t>(plan.procs[p].order.size());
-        for (std::int32_t pos = 0; pos < n; ++pos) {
-          if (!memory->needs_map(pos)) continue;
-          (void)memory->perform_map(pos);
-          ++demand.maps;
-        }
-      } else {
-        memory->preallocate_all();
-      }
-    } catch (const rt::NonExecutableError& e) {
+    const rt::MapReplay replay = rt::replay_maps(plan, p, options);
+    demand.maps += static_cast<std::int64_t>(replay.maps.size());
+    if (!replay.ok()) {
       demand.executable = false;
-      demand.failure = e.what();  // already names the processor/position
+      demand.failure = replay.failure.message;  // names processor/position
       return demand;
     }
-    demand.peak_bytes_per_proc.push_back(memory->peak_bytes());
-    demand.total_bytes += memory->peak_bytes();
+    demand.peak_bytes_per_proc.push_back(replay.peak_bytes);
+    demand.total_bytes += replay.peak_bytes;
   }
   return demand;
 }

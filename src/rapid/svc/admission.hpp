@@ -1,15 +1,16 @@
 // Capacity-budget admission control for the runtime service.
 //
 // The paper's Def. 5/6 make a run's memory footprint statically knowable:
-// replaying the MAP procedure symbolically (the same ProcMemory the
-// executor and the auditor use) yields each processor's exact peak heap
-// bytes before a single task runs. The service exploits that: a RunRequest
-// is admitted only after its *exact* byte need — the sum of per-processor
-// peaks under the run's own RunConfig (alignment 8, the threaded executor's
-// mode) — is computed and reserved against the service-wide budget, so
-// co-resident runs can never oversubscribe memory no matter how their MAPs
-// interleave. A run that cannot fit is refused *up front* with a structured
-// AdmissionReport naming the shortfall, never half-started.
+// replaying the MAP procedure symbolically (rt::replay_maps, the replay the
+// auditor and the conformance checker read too) yields each processor's
+// exact peak heap bytes before a single task runs. The service exploits
+// that: a RunRequest is admitted only after its *exact* byte need — the sum
+// of per-processor peaks under the run's own RunConfig (alignment 8, the
+// threaded executor's mode) — is computed and reserved against the
+// service-wide budget, so co-resident runs can never oversubscribe memory no
+// matter how their MAPs interleave. A run that cannot fit is refused *up
+// front* with a structured AdmissionReport naming the shortfall, never
+// half-started.
 #pragma once
 
 #include <cstdint>

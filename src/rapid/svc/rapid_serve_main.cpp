@@ -6,8 +6,8 @@
 // deadlines, backpressure and fault containment without writing C++.
 //
 //   echo "grid:rows=8,cols=8,procs=4 capacity=4096" | ./rapid_serve
-//   ./rapid_serve --runs=mix.txt --budget=$((64<<20)) --workers=4 \
-//                 --json=service_report.json --report-dir=reports/
+//   ./rapid_serve --runs=mix.txt --budget=$((64<<20)) --workers=4
+//   ./rapid_serve --runs=mix.txt --json=service_report.json --report-dir=r/
 //
 // Line grammar (after the workload spec, any order):
 //   capacity=<bytes>     per-proc capacity          (default 1048576)
@@ -98,10 +98,8 @@ svc::RunRequest parse_line(const std::string& line) {
 }
 
 void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  RAPID_CHECK(out.good(), cat("cannot open ", path, " for writing"));
-  out << content;
-  RAPID_CHECK(out.good(), cat("short write to ", path));
+  RAPID_CHECK(obs::atomic_write_file(path, content),
+              cat("cannot write ", path));
 }
 
 }  // namespace

@@ -12,18 +12,6 @@
 
 namespace rapid::svc {
 
-namespace {
-
-/// Completed-run acceptance: the grid app computes in exact integers (any
-/// nonzero residual is a protocol bug), the factorizations are checked
-/// against the same bound the transport tests use.
-bool residual_ok(const std::string& spec, double residual) {
-  const bool exact = spec.rfind("grid", 0) == 0;
-  return exact ? residual == 0.0 : residual < 1e-10;
-}
-
-}  // namespace
-
 const char* to_string(RunState state) {
   switch (state) {
     case RunState::kQueued:
@@ -461,12 +449,12 @@ void RuntimeService::execute(RunRecord& record, Pending pending) {
   const num::ShmWorkload& workload = *pending.plan->workload;
   try {
     outcome = rt::run_with_recovery(workload.plan, req.config,
-                                    workload.make_init(),
-                                    workload.make_body(), options, ropts);
+                                    workload.app->make_init(),
+                                    workload.app->make_body(), options, ropts);
     has_outcome = true;
     if (!outcome.failed && outcome.report.executable) {
-      residual = workload.residual(*outcome.executor);
-      numerics_ok = residual_ok(record.spec, residual);
+      residual = workload.app->residual(*outcome.executor);
+      numerics_ok = workload.app->residual_ok(residual);
       state = RunState::kCompleted;
     } else if (outcome.failed &&
                outcome.failure_kind == rt::FailureKind::kCancelled) {

@@ -147,15 +147,11 @@ std::vector<std::vector<TaskId>> derive_epochs(const graph::TaskGraph& graph,
 
 /// One MAP observed by the symbolic capacity replay, with the owners its
 /// address packages go to; input of the MBX-CROSS analysis.
-struct MapEvent {
+/// A replayed MAP that sends address packages, tagged with its processor.
+/// REC-CROSS reads its allocated volatiles and alloc_upto to know which
+/// remote reads the crossed MAP gates.
+struct MapEvent : rt::ReplayedMap {
   ProcId proc = graph::kInvalidProc;
-  std::int32_t pos = 0;
-  std::vector<ProcId> package_dests;
-  /// Volatiles this MAP allocated, and the position its allocated prefix
-  /// reaches — inputs of the REC-CROSS analysis, which must know which
-  /// remote reads the crossed MAP gates.
-  std::vector<DataId> allocated;
-  std::int32_t alloc_upto = 0;
 };
 
 class Auditor {
@@ -609,106 +605,57 @@ class Auditor {
     if (options_.capacity_per_proc <= 0) return events;
     const std::int64_t capacity = options_.capacity_per_proc;
     for (ProcId p = 0; p < plan_.num_procs; ++p) {
-      std::unique_ptr<rt::ProcMemory> memory;
-      try {
-        memory = std::make_unique<rt::ProcMemory>(plan_, p, capacity,
-                                                  /*alignment=*/1,
-                                                  options_.alloc_policy,
-                                                  options_.slab_arena);
-      } catch (const rt::NonExecutableError&) {
+      rt::MapReplay replay = rt::replay_maps(
+          plan_, p,
+          {capacity, /*alignment=*/1, options_.alloc_policy,
+           options_.slab_arena, options_.active_memory});
+      for (rt::ReplayedMap& map : replay.maps) {
+        if (!map.package_dests.empty()) {
+          events.push_back(MapEvent{std::move(map), p});
+        }
+      }
+      const rt::ReplayFailure& f = replay.failure;
+      if (f.kind == rt::ReplayFailureKind::kPerm) {
         add({.rule = "CAP-PERM",
              .proc = p,
-             .message = cat("permanent objects need ",
-                            plan_.procs[p].permanent_bytes,
+             .message = cat("permanent objects need ", f.needed_bytes,
                             " bytes, capacity is ", capacity, " (short by ",
-                            plan_.procs[p].permanent_bytes - capacity,
-                            " bytes)"),
+                            f.needed_bytes - capacity, " bytes)"),
              .hint = "permanent space counts for the whole run (Def. 5); "
                      "raise the capacity or spread ownership"});
-        continue;
-      }
-      if (!options_.active_memory) {
-        try {
-          memory->preallocate_all();
-        } catch (const rt::NonExecutableError&) {
-          std::int64_t vol_total = 0;
-          for (const auto& v : plan_.procs[p].volatiles) {
-            vol_total += v.size_bytes;
-          }
-          add({.rule = "CAP-TOT",
-               .proc = p,
-               .message = cat("baseline preallocation needs ",
-                              plan_.procs[p].permanent_bytes + vol_total,
-                              " bytes, capacity is ", capacity),
-               .hint = "the no-recycling footprint TOT exceeds the capacity; "
-                       "enable active memory management"});
-        }
-        continue;
-      }
-      const auto n = static_cast<std::int32_t>(plan_.procs[p].order.size());
-      for (std::int32_t pos = 0; pos < n; ++pos) {
-        if (!memory->needs_map(pos)) continue;
-        try {
-          const rt::MapResult map = memory->perform_map(pos);
-          if (!map.packages.empty()) {
-            MapEvent event;
-            event.proc = p;
-            event.pos = pos;
-            event.allocated = map.allocated;
-            event.alloc_upto = map.alloc_upto;
-            for (const auto& [owner, pkg] : map.packages) {
-              (void)pkg;
-              event.package_dests.push_back(owner);
-            }
-            events.push_back(std::move(event));
-          }
-        } catch (const rt::NonExecutableError&) {
-          // perform_map already freed every dead volatile and rolled back
-          // the failing task's partial allocations, so the arena now shows
-          // exactly the live bytes Def. 6 charges at this position.
-          const TaskId t = plan_.procs[p].order[pos];
-          std::int64_t needed = 0;
-          DataId worst = graph::kInvalidData;
-          for (DataId d : plan_.tasks[t].volatile_accesses) {
-            if (!memory->is_allocated(d)) {
-              needed += graph_.data(d).size_bytes;
-              if (worst == graph::kInvalidData ||
-                  graph_.data(d).size_bytes > graph_.data(worst).size_bytes) {
-                worst = d;
-              }
-            }
-          }
-          const std::int64_t free_bytes =
-              capacity - memory->arena().in_use();
-          const std::int64_t shortfall = needed - free_bytes;
-          const std::int64_t largest =
-              memory->arena().stats().largest_free_block;
-          add({.rule = "CAP-MAP",
-               .task = t,
-               .object = worst,
-               .proc = p,
-               .position = pos,
-               .message = cat(
-                   "MAP before task '", task_name(t), "' cannot allocate its ",
-                   needed, " volatile bytes: ", free_bytes,
-                   " bytes free after recycling",
-                   shortfall > 0
-                       ? cat(", short by ", shortfall, " bytes")
-                       : cat(" but fragmented (largest free block ", largest,
-                             " bytes)"),
-                   " — the schedule is non-executable under Def. 6 at "
-                   "capacity ",
-                   capacity),
-               .hint = shortfall > 0
-                           ? cat("raise capacity_per_proc by at least ",
-                                 shortfall,
-                                 " bytes, or use a memory-aware ordering "
-                                 "(MPO/DTS) to lower MEM_REQ")
-                           : "peak bytes fit but placement fragments the "
-                             "arena; try AllocPolicy::kBestFit or a small "
-                             "capacity margin"});
-          break;  // this processor cannot get past `pos`
-        }
+      } else if (f.kind == rt::ReplayFailureKind::kTot) {
+        add({.rule = "CAP-TOT",
+             .proc = p,
+             .message = cat("baseline preallocation needs ", f.needed_bytes,
+                            " bytes, capacity is ", capacity),
+             .hint = "the no-recycling footprint TOT exceeds the capacity; "
+                     "enable active memory management"});
+      } else if (f.kind == rt::ReplayFailureKind::kMap) {
+        const std::int64_t shortfall = f.needed_bytes - f.free_bytes;
+        add({.rule = "CAP-MAP",
+             .task = f.task,
+             .object = f.worst,
+             .proc = p,
+             .position = f.pos,
+             .message = cat(
+                 "MAP before task '", task_name(f.task),
+                 "' cannot allocate its ", f.needed_bytes, " volatile bytes: ",
+                 f.free_bytes, " bytes free after recycling",
+                 shortfall > 0
+                     ? cat(", short by ", shortfall, " bytes")
+                     : cat(" but fragmented (largest free block ",
+                           f.largest_free_block, " bytes)"),
+                 " — the schedule is non-executable under Def. 6 at "
+                 "capacity ",
+                 capacity),
+             .hint = shortfall > 0
+                         ? cat("raise capacity_per_proc by at least ",
+                               shortfall,
+                               " bytes, or use a memory-aware ordering "
+                               "(MPO/DTS) to lower MEM_REQ")
+                         : "peak bytes fit but placement fragments the "
+                           "arena; try AllocPolicy::kBestFit or a small "
+                           "capacity margin"});
       }
     }
     return events;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -18,16 +17,6 @@ namespace {
 using obs::EventKind;
 using obs::ProtoState;
 using obs::TraceEvent;
-
-/// One MAP as the symbolic replay predicts it: position, byte deltas, and
-/// the arena occupancy after it — the reference CONF-CAP compares traced
-/// kMapFree/kMapAlloc/kHeapSample events against.
-struct MapExpect {
-  std::int32_t pos = 0;
-  std::int64_t freed_bytes = 0;
-  std::int64_t alloc_bytes = 0;
-  std::int64_t in_use_after = 0;
-};
 
 /// One MAP as the trace recorded it (kMapBegin .. kMapEnd group).
 struct MapTraced {
@@ -125,57 +114,34 @@ class Checker {
                : cat("object#", d);
   }
 
-  // -- CONF-CAP reference: the auditor's symbolic MAP replay --------------
+  // -- CONF-CAP reference: the symbolic MAP replay ------------------------
 
   void replay_capacity() {
     if (options_.capacity_per_proc <= 0) return;
-    expected_maps_.resize(static_cast<std::size_t>(plan_.num_procs));
-    replay_ok_.assign(static_cast<std::size_t>(plan_.num_procs), false);
     for (rt::ProcId p = 0; p < plan_.num_procs; ++p) {
-      std::unique_ptr<rt::ProcMemory> memory;
-      try {
-        memory = std::make_unique<rt::ProcMemory>(
-            plan_, p, options_.capacity_per_proc, options_.alignment,
-            options_.alloc_policy, options_.slab_arena);
-        if (!options_.active_memory) {
-          memory->preallocate_all();
-          baseline_in_use_.push_back(memory->in_use_bytes());
-          replay_ok_[static_cast<std::size_t>(p)] = true;
-          continue;
-        }
-        std::int64_t freed_bytes = 0;
-        memory->set_free_hook(
-            [&freed_bytes](rt::DataId, mem::Offset, std::int64_t size) {
-              freed_bytes += size;
-            });
-        const auto n =
-            static_cast<std::int32_t>(plan_.procs[p].order.size());
-        for (std::int32_t pos = 0; pos < n; ++pos) {
-          if (!memory->needs_map(pos)) continue;
-          freed_bytes = 0;
-          const rt::MapResult map = memory->perform_map(pos);
-          MapExpect e;
-          e.pos = pos;
-          e.freed_bytes = freed_bytes;
-          for (const rt::DataId d : map.allocated) {
-            e.alloc_bytes += plan_.graph->data(d).size_bytes;
-          }
-          e.in_use_after = memory->in_use_bytes();
-          expected_maps_[static_cast<std::size_t>(p)].push_back(e);
-        }
-        replay_ok_[static_cast<std::size_t>(p)] = true;
-      } catch (const rt::NonExecutableError& e) {
-        add({.rule = "CONF-CAP",
-             .proc = p,
-             .message = cat("symbolic CAP replay is non-executable at "
-                            "capacity ",
-                            options_.capacity_per_proc,
-                            " bytes, yet the run produced a trace: ",
-                            e.what()),
-             .hint = "the checker's capacity/alignment/policy options must "
-                     "match the run's RunConfig exactly"});
-      }
+      const rt::MapReplay& replay = replays_.emplace_back(rt::replay_maps(
+          plan_, p,
+          {options_.capacity_per_proc, options_.alignment,
+           options_.alloc_policy, options_.slab_arena,
+           options_.active_memory}));
+      if (replay.ok()) continue;
+      add({.rule = "CONF-CAP",
+           .proc = p,
+           .message = cat("symbolic CAP replay is non-executable at "
+                          "capacity ",
+                          options_.capacity_per_proc,
+                          " bytes, yet the run produced a trace: ",
+                          replay.failure.message),
+           .hint = "the checker's capacity/alignment/policy options must "
+                   "match the run's RunConfig exactly"});
     }
+  }
+
+  /// Processor q's replayed MAPs; null when no replay ran or it failed.
+  const std::vector<rt::ReplayedMap>* expected_maps(rt::ProcId q) const {
+    if (replays_.empty()) return nullptr;
+    const rt::MapReplay& replay = replays_[static_cast<std::size_t>(q)];
+    return replay.ok() ? &replay.maps : nullptr;
   }
 
   // -- CONF-STATE: protocol-state sequence vs scheduled positions ---------
@@ -257,11 +223,10 @@ class Checker {
       }
     }
     std::vector<std::int32_t> expected_positions = map_positions;
-    if (!expected_maps_.empty() &&
-        replay_ok_[static_cast<std::size_t>(q)] && options_.active_memory) {
+    const std::vector<rt::ReplayedMap>* replayed = expected_maps(q);
+    if (replayed != nullptr && options_.active_memory) {
       expected_positions.clear();
-      for (const MapExpect& e :
-           expected_maps_[static_cast<std::size_t>(q)]) {
+      for (const rt::ReplayedMap& e : *replayed) {
         expected_positions.push_back(e.pos);
       }
       if (!match_sequence(map_positions, expected_positions,
@@ -666,7 +631,8 @@ class Checker {
   void check_capacity() {
     if (options_.capacity_per_proc <= 0) return;
     for (rt::ProcId p = 0; p < plan_.num_procs; ++p) {
-      if (!replay_ok_[static_cast<std::size_t>(p)]) continue;
+      const std::vector<rt::ReplayedMap>* replayed = expected_maps(p);
+      if (replayed == nullptr) continue;
       if (ring(p).empty()) continue;  // untraced ring
       // Parse the traced kMapBegin..kMapEnd groups.
       std::vector<MapTraced> traced;
@@ -708,7 +674,7 @@ class Checker {
         }
         continue;
       }
-      const auto& expected = expected_maps_[static_cast<std::size_t>(p)];
+      const std::vector<rt::ReplayedMap>& expected = *replayed;
       if (!ring_truncated(p) && traced.size() != expected.size()) {
         add({.rule = "CONF-CAP",
              .proc = p,
@@ -725,7 +691,7 @@ class Checker {
       const std::size_t offset = expected.size() - traced.size();
       for (std::size_t k = 0; k < traced.size(); ++k) {
         const MapTraced& got = traced[k];
-        const MapExpect& want = expected[offset + k];
+        const rt::ReplayedMap& want = expected[offset + k];
         if (got.pos != want.pos || got.freed_bytes != want.freed_bytes ||
             got.alloc_bytes != want.alloc_bytes) {
           add({.rule = "CONF-CAP",
@@ -767,10 +733,8 @@ class Checker {
   ProtocolEdges edges_;
   AuditReport report_;
   std::map<std::string, std::int32_t> rule_counts_;
-  /// Symbolic replay results (capacity mode only).
-  std::vector<std::vector<MapExpect>> expected_maps_;
-  std::vector<bool> replay_ok_;
-  std::vector<std::int64_t> baseline_in_use_;
+  /// Per-processor symbolic replays (capacity mode only).
+  std::vector<rt::MapReplay> replays_;
 };
 
 }  // namespace

@@ -14,7 +14,7 @@
 //              modulo idempotent sequence-gated resends; or the recovery
 //              counters do not reconcile with the traced NACK/resend events
 //   CONF-CAP   traced per-processor alloc/free byte deltas diverge from the
-//              auditor's symbolic CAP replay (the same ProcMemory engine)
+//              symbolic MAP replay (rt::replay_maps, as the auditor uses)
 //   CONF-TRUNCATED (info) a trace ring overflowed: findings that rely on
 //              the complete history are downgraded to warnings, because an
 //              "absent" event may simply have been overwritten

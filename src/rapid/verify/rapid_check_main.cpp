@@ -8,26 +8,21 @@
 // disagrees with its expectation.
 //
 //   ./rapid_check                                   # cholesky+lu, both executors
-//   ./rapid_check --workload=lu --executor=sim
+//   ./rapid_check --workload=lu:matrix=goodwin,scale=0.4 --executor=sim
 //   ./rapid_check --faults=all --seeds=32 --json=findings.json
-//   ./rapid_check --litmus-only                     # just the model checker
+//   ./rapid_check --litmus-only=true                # just the model checker
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
-#include "rapid/num/workloads.hpp"
+#include "rapid/num/shm_workloads.hpp"
+#include "rapid/obs/telemetry.hpp"
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/faults.hpp"
-#include "rapid/rt/plan.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/rt/transport.hpp"
-#include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
 #include "rapid/support/exit_codes.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/json.hpp"
@@ -39,39 +34,11 @@ namespace {
 
 using namespace rapid;
 
-struct Workload {
-  std::string name;
-  graph::TaskGraph* graph = nullptr;
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
-
-  rt::ObjectInit make_init() const {
-    return cholesky ? cholesky->make_init() : lu->make_init();
-  }
-  rt::TaskBody make_body() const {
-    return cholesky ? cholesky->make_body() : lu->make_body();
-  }
+/// `all`: the seed factorizations at scale 0.4, block 10, 4 processors.
+const std::vector<std::string> kSeedSpecs = {
+    "cholesky:matrix=bcsstk24,scale=0.4,block=10,procs=4",
+    "lu:matrix=goodwin,scale=0.4,block=10,procs=4",
 };
-
-Workload make_workload(const std::string& name, double scale,
-                       sparse::Index block, int procs) {
-  Workload w;
-  w.name = name;
-  if (name == "cholesky") {
-    auto workload = num::bcsstk24_like(scale);
-    w.cholesky = std::make_shared<num::CholeskyApp>(
-        num::CholeskyApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.cholesky->mutable_graph();
-  } else if (name == "lu") {
-    auto workload = num::goodwin_like(scale);
-    w.lu = std::make_shared<num::LuApp>(
-        num::LuApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.lu->mutable_graph();
-  } else {
-    RAPID_FAIL(cat("unknown workload '", name, "' (expected cholesky|lu)"));
-  }
-  return w;
-}
 
 struct CheckedRun {
   std::string label;
@@ -101,27 +68,17 @@ void print_report(const CheckedRun& run) {
   }
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  RAPID_CHECK(f != nullptr, cat("cannot open ", path, " for writing"));
-  const std::size_t written =
-      std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  RAPID_CHECK(written == content.size(), cat("short write to ", path));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.define("workload", "all", "cholesky|lu|all");
+  flags.define("workload", "all",
+               "workload spec (num/shm_workloads.hpp grammar), or all (the "
+               "seed cholesky and lu)");
   flags.define("executor", "both", "threaded|sim|both");
   flags.define("transport", "inproc",
                "one-sided transport for the threaded executor: inproc|shm "
                "(shm forks one worker process per paper-processor)");
-  flags.define("scale", "0.4", "workload scale in (0,1]");
-  flags.define("block", "10", "block size for the matrix partition");
-  flags.define("procs", "4", "number of processors");
   flags.define("frac", "0.6",
                "active-memory capacity as a fraction of TOT (escalated in "
                "0.1 steps until the run executes)");
@@ -146,9 +103,6 @@ int main(int argc, char** argv) {
   }
   if (flags.help_requested()) return kExitOk;
 
-  const int procs = static_cast<int>(flags.get_int("procs"));
-  const double scale = flags.get_double("scale");
-  const auto block = static_cast<sparse::Index>(flags.get_int("block"));
   const bool strict = flags.get_bool("strict");
   rt::TransportKind transport = rt::TransportKind::kInProc;
   try {
@@ -158,14 +112,10 @@ int main(int argc, char** argv) {
     return kExitInfraError;
   }
   const bool shm = transport == rt::TransportKind::kShm;
-  const auto params = machine::MachineParams::cray_t3d(procs);
-
-  std::vector<std::string> workloads;
-  if (flags.get("workload") == "all") {
-    workloads = {"cholesky", "lu"};
-  } else {
-    workloads = {flags.get("workload")};
-  }
+  const std::vector<std::string> specs =
+      flags.get("workload") == "all"
+          ? kSeedSpecs
+          : std::vector<std::string>{flags.get("workload")};
   std::vector<std::string> executors;
   if (flags.get("executor") == "both") {
     executors = {"threaded", "sim"};
@@ -188,16 +138,13 @@ int main(int argc, char** argv) {
 
   try {
     if (!flags.get_bool("litmus-only")) {
-      for (const std::string& name : workloads) {
-        const Workload w = make_workload(name, scale, block, procs);
-        const auto assignment =
-            sched::owner_compute_tasks(*w.graph, procs);
-        const auto schedule =
-            sched::schedule_rcp(*w.graph, assignment, procs, params);
-        const rt::RunPlan plan = rt::build_run_plan(*w.graph, schedule);
-        const auto liveness = sched::analyze_liveness(*w.graph, schedule);
-        const std::int64_t tot = liveness.tot_mem();
-        const std::int64_t min = liveness.min_mem();
+      for (const std::string& spec : specs) {
+        const auto w = num::build_shm_workload(spec);
+        const std::string name = num::parse_workload_spec(spec).app;
+        const rt::RunPlan& plan = w->plan;
+        const int procs = plan.num_procs;
+        const std::int64_t tot = w->tot_mem;
+        const std::int64_t min = w->min_mem;
 
         for (const std::string& executor : executors) {
           const bool threaded = executor == "threaded";
@@ -208,23 +155,22 @@ int main(int argc, char** argv) {
           // rapid_trace / bench_executor).
           std::unique_ptr<obs::Trace> trace;
           rt::RunReport report;
-          std::int64_t capacity = 0;
+          rt::RunConfig config;
+          config.params = machine::MachineParams::cray_t3d(procs);
+          config.slab_arena = flags.get_bool("slab");
+          std::int64_t& capacity = config.capacity_per_proc;
           for (double frac = flags.get_double("frac");; frac += 0.1) {
             capacity = std::max(
                 min + min / 8,
                 static_cast<std::int64_t>(frac *
                                           static_cast<double>(tot)));
             trace = std::make_unique<obs::Trace>(procs, tcfg);
-            rt::RunConfig config;
-            config.params = params;
-            config.capacity_per_proc = capacity;
-            config.slab_arena = flags.get_bool("slab");
             if (threaded) {
               rt::ThreadedOptions options;
               options.trace = trace.get();
               options.transport = transport;
-              rt::ThreadedExecutor exec(plan, config, w.make_init(),
-                                        w.make_body(), options);
+              rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
+                                        w->app->make_body(), options);
               report = exec.run();
             } else {
               report = rt::simulate(plan, config, trace.get());
@@ -256,17 +202,13 @@ int main(int argc, char** argv) {
                  seed <= static_cast<std::uint64_t>(flags.get_int("seeds"));
                  ++seed) {
               trace = std::make_unique<obs::Trace>(procs, tcfg);
-              rt::RunConfig config;
-              config.params = params;
-              config.capacity_per_proc = capacity;
-              config.slab_arena = flags.get_bool("slab");
               rt::ThreadedOptions options;
               options.trace = trace.get();
               options.transport = transport;
               options.retry = RetryPolicy::standard();
               options.faults = rt::FaultPlan::preset(preset, seed);
-              rt::ThreadedExecutor exec(plan, config, w.make_init(),
-                                        w.make_body(), options);
+              rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
+                                        w->app->make_body(), options);
               report = exec.run();
               RAPID_CHECK(report.executable,
                           cat(name, " ", preset, " seed ", seed,
@@ -353,7 +295,11 @@ int main(int argc, char** argv) {
       for (const std::string& v : r.violations) jv.push_back(v);
       jl.push_back(std::move(jr));
     }
-    write_file(flags.get("json"), j.dump());
+    if (!obs::atomic_write_file(flags.get("json"), j.dump())) {
+      std::fprintf(stderr, "rapid_check: cannot write %s\n",
+                   flags.get("json").c_str());
+      return kExitInfraError;
+    }
     std::printf("wrote %s\n", flags.get("json").c_str());
   }
 

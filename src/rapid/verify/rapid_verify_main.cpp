@@ -1,26 +1,22 @@
 // rapid_verify: audit a workload's schedule + run plan before anyone
-// executes it. Builds the requested workload(s), schedules them, runs the
+// executes it. Builds the requested workload(s) from their specs, runs the
 // static plan auditor (Theorem 1 preconditions + the Def. 6 capacity
 // replay), prints the findings, and exits non-zero iff any ERROR finding
 // survives — the inspector-stage gate the paper's runtime trusts implicitly.
 //
 //   ./rapid_verify                         # all four seed workloads
-//   ./rapid_verify --workload=lu --ordering=mpo --capacity-frac=0.6
-//   ./rapid_verify --workload=fig2 --capacity-frac=0  # executability bound
+//   ./rapid_verify --workload=lu:matrix=goodwin,scale=0.25 --capacity-frac=0.6
+//   ./rapid_verify --workload=fig2:sched=rcp --capacity-frac=0
+//
+// --workload takes any num/shm_workloads.hpp spec, or `fig2` (the paper's
+// Figure 2 graph, which has no task bodies and so is the one target built
+// outside the grammar's apps; its procs and sched keys still apply).
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
-#include "rapid/num/nbody_app.hpp"
-#include "rapid/num/trisolve_app.hpp"
-#include "rapid/num/workloads.hpp"
-#include "rapid/rt/plan.hpp"
-#include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/support/exit_codes.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/str.hpp"
@@ -30,79 +26,21 @@ namespace {
 
 using namespace rapid;
 
-struct Target {
-  std::string name;
-  graph::TaskGraph* graph = nullptr;
-  // Keep whichever app owns the graph alive for the audit.
-  std::shared_ptr<void> owner;
+/// `all`: the seed workloads at scale 0.25, block 6, 4 processors, MPO.
+const std::vector<std::string> kSeedSpecs = {
+    "cholesky:matrix=bcsstk24,scale=0.25,block=6,procs=4,sched=mpo",
+    "lu:matrix=goodwin,scale=0.25,block=6,procs=4,sched=mpo",
+    "trisolve:matrix=bcsstk24,scale=0.25,block=6,procs=4,sched=mpo",
+    "nbody:procs=4,sched=mpo",
 };
-
-Target make_target(const std::string& name, double scale,
-                   sparse::Index block, int procs) {
-  Target target;
-  target.name = name;
-  if (name == "fig2") {
-    auto g = std::make_shared<graph::TaskGraph>(
-        graph::make_paper_figure2_graph());
-    target.graph = g.get();
-    target.owner = g;
-  } else if (name == "cholesky") {
-    auto workload = num::bcsstk24_like(scale);
-    auto app = std::make_shared<num::CholeskyApp>(
-        num::CholeskyApp::build(std::move(workload.matrix), block, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else if (name == "lu") {
-    auto workload = num::goodwin_like(scale);
-    auto app = std::make_shared<num::LuApp>(
-        num::LuApp::build(std::move(workload.matrix), block, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else if (name == "trisolve") {
-    auto workload = num::bcsstk24_like(scale);
-    auto app = std::make_shared<num::TriSolveApp>(
-        num::TriSolveApp::build(std::move(workload.matrix), block, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else if (name == "nbody") {
-    num::NBodyConfig config;  // small fixed grid; scale does not apply
-    auto app = std::make_shared<num::NBodyApp>(
-        num::NBodyApp::build(config, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else {
-    RAPID_FAIL(cat("unknown workload '", name,
-                   "' (expected fig2|cholesky|lu|trisolve|nbody|all)"));
-  }
-  return target;
-}
-
-sched::Schedule make_schedule(const graph::TaskGraph& graph,
-                              const std::string& ordering, int procs,
-                              const machine::MachineParams& params) {
-  const auto assignment = sched::owner_compute_tasks(graph, procs);
-  if (ordering == "rcp") {
-    return sched::schedule_rcp(graph, assignment, procs, params);
-  }
-  if (ordering == "mpo") {
-    return sched::schedule_mpo(graph, assignment, procs, params);
-  }
-  if (ordering == "dts") {
-    return sched::schedule_dts(graph, assignment, procs, params);
-  }
-  RAPID_FAIL(cat("unknown ordering '", ordering, "' (expected rcp|mpo|dts)"));
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
   flags.define("workload", "all",
-               "fig2|cholesky|lu|trisolve|nbody|all — what to audit");
-  flags.define("ordering", "mpo", "task ordering: rcp|mpo|dts");
-  flags.define("scale", "0.25", "workload scale in (0,1]");
-  flags.define("block", "6", "block size for the matrix partitions");
-  flags.define("procs", "4", "number of processors");
+               "workload spec (num/shm_workloads.hpp grammar), fig2, or all "
+               "(the four seed workloads)");
   flags.define("capacity-frac", "0",
                "per-proc capacity as a fraction of TOT (the paper's §5.1 "
                "sweep axis); 0 audits at the executability threshold "
@@ -122,28 +60,28 @@ int main(int argc, char** argv) {
   }
   if (flags.help_requested()) return kExitOk;
 
-  std::vector<std::string> names;
-  if (flags.get("workload") == "all") {
-    names = {"cholesky", "lu", "trisolve", "nbody"};
-  } else {
-    names = {flags.get("workload")};
-  }
-
-  const int procs = static_cast<int>(flags.get_int("procs"));
-  const double scale = flags.get_double("scale");
-  const auto block = static_cast<sparse::Index>(flags.get_int("block"));
+  const std::vector<std::string> specs =
+      flags.get("workload") == "all"
+          ? kSeedSpecs
+          : std::vector<std::string>{flags.get("workload")};
   const double capacity_frac = flags.get_double("capacity-frac");
-  const auto params = machine::MachineParams::cray_t3d(procs);
 
   int total_errors = 0;
   int total_warnings = 0;
-  for (const std::string& name : names) {
+  for (const std::string& spec : specs) {
     try {
-      const Target target = make_target(name, scale, block, procs);
-      const sched::Schedule schedule =
-          make_schedule(*target.graph, flags.get("ordering"), procs, params);
-      const rt::RunPlan plan = rt::build_run_plan(*target.graph, schedule);
-      const auto liveness = sched::analyze_liveness(*target.graph, schedule);
+      const num::WorkloadSpec parsed = num::parse_workload_spec(spec);
+      std::unique_ptr<num::ShmWorkload> workload;
+      graph::TaskGraph fig2;
+      num::PlannedGraph fig2_plan;
+      if (parsed.app == "fig2") {
+        fig2 = graph::make_paper_figure2_graph();
+        fig2_plan = num::plan_graph(fig2, parsed);
+      } else {
+        workload = num::build_shm_workload(spec);
+      }
+      const graph::TaskGraph& graph = workload ? workload->graph() : fig2;
+      const num::PlannedGraph& planned = workload ? *workload : fig2_plan;
 
       verify::AuditOptions options;
       options.mailbox_slots =
@@ -155,29 +93,29 @@ int main(int argc, char** argv) {
         // placement can fragment just above it (the paper's §6 "special
         // memory allocator" question). Audit at the same slacked threshold
         // the repo's executability tests use.
-        options.capacity_per_proc =
-            liveness.min_mem() + liveness.min_mem() / 8;
+        options.capacity_per_proc = planned.min_mem + planned.min_mem / 8;
       } else {
         options.capacity_per_proc = static_cast<std::int64_t>(
-            capacity_frac * static_cast<double>(liveness.tot_mem()));
+            capacity_frac * static_cast<double>(planned.tot_mem));
       }
 
       const verify::AuditReport report =
-          verify::audit_plan(*target.graph, schedule, plan, options);
-      std::printf("%-9s %s  (%d tasks, %d objects, %d procs, capacity %lld "
+          verify::audit_plan(graph, planned.plan.schedule, planned.plan,
+                             options);
+      std::printf("%s  %s  (%d tasks, %d objects, %d procs, capacity %lld "
                   "bytes, MIN_MEM %lld, TOT %lld)\n",
-                  name.c_str(), report.summary().c_str(),
-                  target.graph->num_tasks(), target.graph->num_data(), procs,
+                  spec.c_str(), report.summary().c_str(), graph.num_tasks(),
+                  graph.num_data(), parsed.procs,
                   static_cast<long long>(options.capacity_per_proc),
-                  static_cast<long long>(liveness.min_mem()),
-                  static_cast<long long>(liveness.tot_mem()));
+                  static_cast<long long>(planned.min_mem),
+                  static_cast<long long>(planned.tot_mem));
       if (!report.clean() || flags.get_bool("verbose")) {
         std::printf("%s", report.to_string().c_str());
       }
       total_errors += report.errors();
       total_warnings += report.warnings();
     } catch (const rapid::Error& e) {
-      std::fprintf(stderr, "%s: audit failed to run: %s\n", name.c_str(),
+      std::fprintf(stderr, "%s: audit failed to run: %s\n", spec.c_str(),
                    e.what());
       return kExitInfraError;
     }

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -99,6 +101,56 @@ TEST(CliExitCodes, ServeDistinguishesFindingsFromInfraError) {
   // An unreadable runs file means the service never saw the work.
   EXPECT_EQ(run(bin + " --runs=" + dir + "/serve_missing.runs"),
             kExitInfraError);
+}
+
+TEST(CliExitCodes, ServeBadSpecValueRejectsOneRunNotTheBatch) {
+  const std::string bin = binary("src/rapid/svc/rapid_serve");
+  if (bin.empty()) GTEST_SKIP() << "rapid_serve not built";
+  const std::string dir = ::testing::TempDir();
+  const std::string runs = dir + "/serve_bad_value.runs";
+  std::ofstream(runs) << "grid:rows=6,cols=6,procs=4\n"
+                      << "cholesky:grid=abc\n";
+  const std::string json = dir + "/serve_bad_value.json";
+  // The malformed value is a rejected run (a finding), and the good line in
+  // the same batch still completes.
+  EXPECT_EQ(run(bin + " --runs=" + runs + " --json=" + json), kExitFindings);
+  std::ifstream in(json);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(doc.find("\"completed\": 1,"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"rejected\": 1,"), std::string::npos) << doc;
+}
+
+TEST(CliExitCodes, EveryOfflineCliAcceptsEverySpec) {
+  const std::vector<std::string> specs = {
+      "cholesky:grid=6,block=3,procs=2", "lu:grid=6,block=3,procs=2",
+      "grid:rows=4,cols=4,procs=2",      "trisolve:grid=6,block=3,procs=2",
+      "nbody:rows=3,cols=3,procs=2",
+  };
+  const std::string out = ::testing::TempDir() + "/cli_every_spec";
+  const std::vector<std::pair<std::string, std::string>> clis = {
+      {"src/rapid/verify/rapid_verify", ""},
+      {"src/rapid/verify/rapid_check", " --executor=sim --litmus=false"},
+      {"src/rapid/obs/rapid_trace", " --executor=sim --out=" + out},
+  };
+  int tested = 0;
+  for (const auto& [rel, args] : clis) {
+    const std::string bin = binary(rel);
+    if (bin.empty()) continue;
+    for (const std::string& spec : specs) {
+      EXPECT_EQ(run(bin + " --workload=" + spec + args), kExitOk)
+          << rel << " " << spec;
+    }
+    // A malformed spec means the tool never ran.
+    EXPECT_EQ(run(bin + " --workload=cholesky:grid=12x" + args),
+              kExitInfraError)
+        << rel;
+    EXPECT_EQ(run(bin + " --workload=nosuch:procs=2" + args),
+              kExitInfraError)
+        << rel;
+    ++tested;
+  }
+  ASSERT_GT(tested, 0) << "no offline CLIs found under " << build_root();
 }
 
 TEST(CliExitCodes, ServeMetricsWriteFailureDegradesNotDies) {

@@ -41,10 +41,10 @@ RunOutcome run_once(const num::ShmWorkload& wl, const RunConfig& config,
   try {
     ThreadedOptions options;
     options.run_id = run_id;
-    ThreadedExecutor exec(wl.plan, config, wl.make_init(), wl.make_body(),
-                          options);
+    ThreadedExecutor exec(wl.plan, config, wl.app->make_init(),
+                          wl.app->make_body(), options);
     out.report = exec.run();
-    if (out.report.executable) out.residual = wl.residual(exec);
+    if (out.report.executable) out.residual = wl.app->residual(exec);
   } catch (const Error& e) {
     out.error = e.what();
   }
@@ -82,11 +82,8 @@ void run_concurrent(const std::string& spec, int concurrency) {
         << spec << " run " << i;
     // Exact numerics: bit-exact zero for the integer grid, the usual
     // factorization threshold otherwise.
-    if (spec.rfind("grid", 0) == 0) {
-      EXPECT_EQ(out.residual, 0.0) << spec << " run " << i;
-    } else {
-      EXPECT_LT(out.residual, 1e-10) << spec << " run " << i;
-    }
+    EXPECT_TRUE(wl->app->residual_ok(out.residual))
+        << spec << " run " << i << " residual " << out.residual;
     // No cross-run counter bleed: every concurrent run's protocol counters
     // equal the solo run's, to the message.
     EXPECT_EQ(out.report.tasks_executed, solo.report.tasks_executed)

@@ -110,6 +110,23 @@ TEST(Service, RejectsUnbuildableSpecStructured) {
   EXPECT_EQ(service.report().completed, 0);
 }
 
+TEST(Service, RejectsMalformedSpecValueWithoutSinkingTheBatch) {
+  RuntimeService service;
+  const std::int64_t bad =
+      service.submit(grid_request("cholesky:grid=abc"));
+  const std::int64_t good =
+      service.submit(grid_request("grid:rows=6,cols=6,procs=4"));
+  const RunRecord& r = service.wait(bad);
+  ASSERT_EQ(r.state, RunState::kRejected);
+  EXPECT_EQ(r.admission.verdict, AdmissionVerdict::kRejected);
+  EXPECT_NE(r.reason.find("cholesky:grid=abc"), std::string::npos)
+      << r.reason;
+  EXPECT_EQ(service.wait(good).state, RunState::kCompleted);
+  const ServiceReport report = service.report();
+  EXPECT_EQ(report.rejected, 1);
+  EXPECT_EQ(report.completed, 1);
+}
+
 TEST(Service, BoundedQueueShedsEarliestDeadline) {
   ServiceOptions opts;
   opts.workers = 1;

@@ -127,12 +127,12 @@ void run_workload_on_shm(const std::string& spec) {
   config.params = machine::MachineParams::cray_t3d(wl->plan.num_procs);
   config.active_memory = true;
   config.capacity_per_proc = wl->tot_mem;
-  ThreadedExecutor exec(wl->plan, config, wl->make_init(), wl->make_body(),
-                        shm_options());
+  ThreadedExecutor exec(wl->plan, config, wl->app->make_init(),
+                        wl->app->make_body(), shm_options());
   const RunReport r = exec.run();
   ASSERT_TRUE(r.executable) << r.failure;
   EXPECT_EQ(r.transport, "shm");
-  EXPECT_LT(wl->residual(exec), 1e-10) << spec;
+  EXPECT_LT(wl->app->residual(exec), 1e-10) << spec;
 }
 
 TEST(ShmTransportRun, CholeskyResidualFourProcesses) {
@@ -180,11 +180,11 @@ TEST(ShmTransportRun, SpawnedWorkersRebuildThePlanFromSpec) {
   options.shm_launch = ThreadedOptions::ShmLaunch::kSpawn;
   options.shm_worker_path = bin;
   options.workload_spec = spec;
-  ThreadedExecutor exec(wl->plan, config, wl->make_init(), wl->make_body(),
-                        options);
+  ThreadedExecutor exec(wl->plan, config, wl->app->make_init(),
+                        wl->app->make_body(), options);
   const RunReport r = exec.run();
   ASSERT_TRUE(r.executable) << r.failure;
-  EXPECT_LT(wl->residual(exec), 1e-10);
+  EXPECT_LT(wl->app->residual(exec), 1e-10);
 }
 
 // ---- kill sweep ------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "counter_app.hpp"
@@ -111,7 +112,19 @@ TEST(ThreadedExecutor, WatchdogCatchesStalledProtocol) {
         app.make_body()(t, resolver);
       },
       options);
-  EXPECT_THROW(exec.run(), ProtocolDeadlockError);
+  try {
+    exec.run();
+    ADD_FAILURE() << "the watchdog did not fire";
+  } catch (const ProtocolDeadlockError& e) {
+    // One cause, one duration: the headline must not nest the stall
+    // report's own "no protocol progress" line under a second one.
+    const std::string what = e.what();
+    const std::string phrase = "no protocol progress for";
+    const std::size_t first = what.find(phrase);
+    ASSERT_NE(first, std::string::npos) << what;
+    EXPECT_EQ(what.find(phrase, first + 1), std::string::npos) << what;
+    EXPECT_EQ(what.rfind("watchdog: ", 0), 0u) << what;
+  }
 }
 
 TEST(ThreadedExecutor, MultiSlotMailboxesAlsoCorrect) {

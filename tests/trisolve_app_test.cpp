@@ -39,7 +39,7 @@ struct Runner {
     rt::ThreadedExecutor exec(plan, config, app.make_init(), app.make_body());
     const rt::RunReport report = exec.run();
     if (!report.executable) return -1.0;
-    return TriSolveApp::solution_error(app.extract_solution(exec));
+    return app.residual(exec);
   }
 };
 

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define("scale", "0.5", "workload scale in (0,1]");
   flags.define("procs", "8", "processor count");
+  flags.define("json", "", "also write machine-readable results to this path");
   flags.parse(argc, argv);
   if (flags.help_requested()) return 0;
   const double scale = flags.get_double("scale");

@@ -202,7 +202,8 @@ void emit_table(const Flags& flags, const std::string& artifact,
   JsonValue doc = JsonValue::object();
   doc["artifact"] = artifact;
   doc["scale"] = flags.get_double("scale");
-  doc["block"] = flags.get_int("block");
+  // Benches with fixed per-workload blocks define no --block.
+  if (flags.defined("block")) doc["block"] = flags.get_int("block");
   doc["rows"] = table_to_json(table);
   write_json_file(flags, doc);
 }

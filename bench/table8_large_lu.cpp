@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   flags.define("scale", "1.0", "linear workload scale in (0,1]");
   flags.define("block", "24", "column-block width");
   flags.define("procs", "16,32,64", "processor counts");
+  flags.define("json", "", "also write machine-readable results to this path");
   flags.define(
       "capacity_fraction", "0.55",
       "per-node capacity as a fraction of the p=16 no-recycling footprint "

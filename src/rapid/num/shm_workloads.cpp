@@ -1,6 +1,5 @@
 #include "rapid/num/shm_workloads.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <limits>
 #include <utility>
@@ -23,6 +22,12 @@ namespace rapid::num {
 
 namespace {
 
+/// Spec errors come from outside input: a plain message, with no source
+/// location or failed expression.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw Error(message);
+}
+
 sparse::CscMatrix nd_grid(sparse::Index s) {
   sparse::CscMatrix a = sparse::grid_laplacian_2d(s, s);
   return a.permuted_symmetric(sparse::nested_dissection_2d(s, s));
@@ -41,9 +46,9 @@ sparse::CscMatrix spec_matrix(const WorkloadSpec& s, const std::string& spec,
                    : throw Error(cat("workload spec: matrix must be nd, "
                                      "bcsstk15, bcsstk24, bcsstk33 or goodwin "
                                      "in \"", spec, "\""));
-  RAPID_CHECK(w.spd || !spd_only,
-              cat("workload spec: ", s.app, " needs an SPD matrix, but ",
-                  s.matrix, " is unsymmetric, in \"", spec, "\""));
+  require(w.spd || !spd_only,
+          cat("workload spec: ", s.app, " needs an SPD matrix, but ",
+              s.matrix, " is unsymmetric, in \"", spec, "\""));
   return std::move(w.matrix);
 }
 
@@ -71,9 +76,9 @@ std::unique_ptr<App> build_app(const WorkloadSpec& s,
     config.width = s.cols.value_or(config.width);
     return std::make_unique<NBodyApp>(NBodyApp::build(config, s.procs));
   }
-  RAPID_FAIL(cat("workload spec: unknown app \"", s.app,
-                 "\" (want cholesky, lu, trisolve, grid or nbody) in \"",
-                 spec, "\""));
+  throw Error(cat("workload spec: unknown app \"", s.app,
+                  "\" (want cholesky, lu, trisolve, grid or nbody) in \"",
+                  spec, "\""));
 }
 
 }  // namespace
@@ -88,22 +93,17 @@ WorkloadSpec parse_workload_spec(const std::string& spec) {
   for (const std::string& kv : split(rest, ',')) {
     if (kv.empty()) continue;
     const std::size_t eq = kv.find('=');
-    RAPID_CHECK(eq != std::string::npos,
-                cat("workload spec: expected key=value, got \"", kv, "\"",
-                    where));
+    require(eq != std::string::npos,
+            cat("workload spec: expected key=value, got \"", kv, "\"",
+                where));
     const std::string key = kv.substr(0, eq);
     const std::string val = kv.substr(eq + 1);
     // Strict integer in [lo, hi]: no trailing characters, no wraparound.
     const auto integer = [&](std::int64_t lo, std::int64_t hi) {
-      char* end = nullptr;
-      errno = 0;
-      const long long v = std::strtoll(val.c_str(), &end, 10);
-      RAPID_CHECK(!val.empty() && *end == '\0' && errno != ERANGE,
-                  cat("workload spec: ", key, " expects an integer, got \"",
-                      val, "\"", where));
-      RAPID_CHECK(lo <= v && v <= hi, cat("workload spec: ", key, "=", v,
-                                          " is outside [", lo, ", ", hi, "]",
-                                          where));
+      const std::int64_t v = parse_int(val, cat("workload spec: ", key), where);
+      require(lo <= v && v <= hi, cat("workload spec: ", key, "=", v,
+                                      " is outside [", lo, ", ", hi, "]",
+                                      where));
       return static_cast<int>(v);
     };
     constexpr int kUnbounded = std::numeric_limits<int>::max();
@@ -112,10 +112,10 @@ WorkloadSpec parse_workload_spec(const std::string& spec) {
     } else if (key == "scale") {
       char* end = nullptr;
       p.scale = std::strtod(val.c_str(), &end);
-      RAPID_CHECK(!val.empty() && *end == '\0' && p.scale > 0.0 &&
-                      p.scale <= 1.0,
-                  cat("workload spec: scale expects a number in (0, 1], got "
-                      "\"", val, "\"", where));
+      require(!val.empty() && *end == '\0' && p.scale > 0.0 &&
+                  p.scale <= 1.0,
+              cat("workload spec: scale expects a number in (0, 1], got \"",
+                  val, "\"", where));
     } else if (key == "grid") {
       p.grid = integer(2, kMaxSpecExtent);
     } else if (key == "block") {
@@ -123,8 +123,8 @@ WorkloadSpec parse_workload_spec(const std::string& spec) {
     } else if (key == "procs") {
       p.procs = integer(1, kMaxSpecProcs);
     } else if (key == "sched") {
-      RAPID_CHECK(val == "rcp" || val == "dts" || val == "mpo",
-                  cat("workload spec: sched must be rcp, dts or mpo", where));
+      require(val == "rcp" || val == "dts" || val == "mpo",
+              cat("workload spec: sched must be rcp, dts or mpo", where));
       p.sched = val;
     } else if (key == "rows") {
       p.rows = integer(1, kMaxSpecExtent);
@@ -133,7 +133,7 @@ WorkloadSpec parse_workload_spec(const std::string& spec) {
     } else if (key == "delay") {
       p.delay = integer(0, kUnbounded);
     } else {
-      RAPID_FAIL(cat("workload spec: unknown key \"", key, "\"", where));
+      throw Error(cat("workload spec: unknown key \"", key, "\"", where));
     }
   }
   return p;

@@ -563,8 +563,8 @@ LightState ShmTransport::light(ProcId q) const {
   return s;
 }
 
-void ShmTransport::publish_worker_done(
-    ProcId q, const std::int64_t (&counters)[kNumShmCounters]) {
+void ShmTransport::publish_worker_done(ProcId q,
+                                       const ShmCounters& counters) {
   ShmRankCtl& c = l_->ctl[q];
   for (std::int32_t i = 0; i < kNumShmCounters; ++i) {
     c.counters[i].store(counters[i], std::memory_order_relaxed);
@@ -576,8 +576,12 @@ bool ShmTransport::worker_done(ProcId q) const {
   return l_->ctl[q].done.load(std::memory_order_acquire) != 0;
 }
 
-std::int64_t ShmTransport::worker_counter(ProcId q, ShmCounter which) const {
-  return l_->ctl[q].counters[which].load(std::memory_order_acquire);
+ShmCounters ShmTransport::worker_counters(ProcId q) const {
+  ShmCounters out{};
+  for (std::int32_t i = 0; i < kNumShmCounters; ++i) {
+    out[i] = l_->ctl[q].counters[i].load(std::memory_order_acquire);
+  }
+  return out;
 }
 
 void ShmTransport::publish_recovery(ProcId q, std::int64_t nacks_sent,

@@ -23,6 +23,7 @@
 // kShmWorkerClean / kShmWorkerAborted / kShmWorkerFailed.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -106,6 +107,9 @@ enum ShmCounter : std::int32_t {
   kNumShmCounters,
 };
 
+/// One counter table: a rank's end-of-run counters, indexed by ShmCounter.
+using ShmCounters = std::array<std::int64_t, kNumShmCounters>;
+
 /// Cheap fingerprint of a plan's shape (dims + schedule order), enough to
 /// catch an exec-mode worker that rebuilt a different plan.
 std::uint64_t plan_fingerprint(const RunPlan& plan);
@@ -182,10 +186,9 @@ class ShmTransport final : public Transport {
   // Worker/coordinator extras --------------------------------------------
   /// Worker at clean end: stores its counter slots and raises done
   /// (release) so the coordinator's sums are exact.
-  void publish_worker_done(ProcId q,
-                           const std::int64_t (&counters)[kNumShmCounters]);
+  void publish_worker_done(ProcId q, const ShmCounters& counters);
   bool worker_done(ProcId q) const;
-  std::int64_t worker_counter(ProcId q, ShmCounter which) const;
+  ShmCounters worker_counters(ProcId q) const;
   /// Lease age in seconds (now - last beat); a huge value before the first
   /// beat so "never attached" reads as lapsed once the grace period ends.
   double lease_age_seconds(ProcId q) const;

@@ -107,6 +107,38 @@ std::vector<WaitEdge> build_wait_edges(
       edges.push_back(std::move(e));
     }
   }
+  // Light snapshots have no suspended-send queue. When no rank could answer
+  // the handshake (all light, as across processes), infer that edge: an
+  // owner blocked past every producer of a version a reader awaits has run
+  // its SND, so under a frozen bell the put is suspended on the reader's
+  // MAP. (In-process a blocked rank that did not answer is mid-put.)
+  if (std::ranges::any_of(procs, &ProcSnapshot::detailed)) return edges;
+  for (const ProcSnapshot& s : procs) {
+    if (s.state != ProcState::kRecBlocked ||
+        s.waiting_object == graph::kInvalidData || s.waiting_version < 1) {
+      continue;
+    }
+    const ProcId owner = plan.graph->data(s.waiting_object).owner;
+    const ProcSnapshot& o = procs[static_cast<std::size_t>(owner)];
+    if (!is_blocked(o.state)) continue;
+    const auto& producers =
+        plan.objects[s.waiting_object].epochs[static_cast<std::size_t>(
+            s.waiting_version - 1)];
+    if (!std::ranges::all_of(producers, [&](TaskId t) {
+          return plan.schedule.pos_of_task[t] < o.pos;
+        })) {
+      continue;
+    }
+    edges.push_back(
+        {.from = owner,
+         .to = s.proc,
+         .kind = WaitEdge::Kind::kAddrPackage,
+         .object = s.waiting_object,
+         .reason = cat("version ", s.waiting_version, " of ",
+                       object_name(plan, s.waiting_object), " for p", s.proc,
+                       " is past its producers, so its send awaits p",
+                       s.proc, "'s address package")});
+  }
   return edges;
 }
 

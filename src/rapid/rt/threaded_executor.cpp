@@ -1,6 +1,7 @@
 #include "rapid/rt/threaded_executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -203,9 +204,9 @@ struct ThreadedExecutor::Impl {
   RunReport last_report;   // filled by run() even on the throwing paths
 
   /// Cooperative cancellation. cancel() only sets the flag (it may race
-  /// run() setup, so it must not touch the transport); the monitor and the
-  /// shm coordinator poll it every heartbeat and perform the actual abort
-  /// from the thread that owns the control-plane pointers.
+  /// run() setup, so it must not touch the transport); the monitor polls it
+  /// every heartbeat and performs the actual abort from the thread that
+  /// owns the control-plane pointers.
   std::atomic<bool> cancel_requested{false};
   std::mutex cancel_m;
   std::string cancel_reason;
@@ -228,13 +229,14 @@ struct ThreadedExecutor::Impl {
   /// decrements before the stall window closes.
   std::atomic<std::int32_t> exhausted_waiters{0};
 
-  // Counters (relaxed; exact totals gathered after join).
-  std::atomic<std::int64_t> content_messages{0}, content_bytes{0},
-      put_batches{0}, flag_messages{0}, addr_packages{0}, addr_entries{0},
-      suspended_sends{0}, tasks_executed{0}, dropped_packages{0};
-  // Recovery counters (RunReport::recovery).
-  std::atomic<std::int64_t> nacks_sent{0}, resends{0}, flag_resends{0},
-      duplicate_suppressions{0}, checksum_rejections{0}, task_retries{0};
+  /// Counters of every rank this process plays, indexed by ShmCounter
+  /// (relaxed; exact once the ranks stopped). The per-rank MAP count and
+  /// heap peak live in Private and ProcMemory, so those two slots stay 0.
+  std::array<std::atomic<std::int64_t>, kNumShmCounters> ctr{};
+
+  void count(ShmCounter c, std::int64_t n = 1) {
+    ctr[c].fetch_add(n, std::memory_order_relaxed);
+  }
 
   Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
        TaskBody body_, ThreadedOptions options_)
@@ -262,11 +264,8 @@ struct ThreadedExecutor::Impl {
                                1e6)
                 : options_.watchdog_seconds) {}
 
-  void fail(ProcId q, std::string what, FailureKind kind) {
-    tp->report_failure(q, kind, what);
-    tp->request_abort();
-    bell->ring();          // wake parked workers so they observe the abort
-    control_bell->ring();  // and the monitor
+  void fail(ProcId q, const std::string& what, FailureKind kind) {
+    tp->fail_stop(q, kind, what);
   }
 
   void bump_progress() { bell->ring(); }
@@ -275,10 +274,10 @@ struct ThreadedExecutor::Impl {
   /// so an external sampler sees per-rank NACK/resend rates mid-run. Only
   /// called on recovery paths (already cold); no-op in-proc.
   void publish_recovery_counters(ProcId q) {
-    tp->publish_recovery(
-        q, nacks_sent.load(std::memory_order_relaxed),
-        resends.load(std::memory_order_relaxed) +
-            flag_resends.load(std::memory_order_relaxed));
+    tp->publish_recovery(q, ctr[kCtrNacksSent].load(std::memory_order_relaxed),
+                         ctr[kCtrResends].load(std::memory_order_relaxed) +
+                             ctr[kCtrFlagResends].load(
+                                 std::memory_order_relaxed));
   }
 
   /// Publishes q's light protocol state (and, cross-process, refreshes its
@@ -415,7 +414,7 @@ struct ThreadedExecutor::Impl {
       // release max-merge -> seq release), defined once on the Transport.
       tp->publish(dst, p.object, p.version, checksum_on, p.crc, p.attempt);
       if (p.attempt > 1) {
-        resends.fetch_add(1, std::memory_order_relaxed);
+        count(kCtrResends);
         publish_recovery_counters(q);
       }
       if (tracing) {
@@ -425,10 +424,9 @@ struct ThreadedExecutor::Impl {
                       static_cast<std::uint16_t>(p.attempt));
       }
     }
-    content_messages.fetch_add(static_cast<std::int64_t>(sends.size()),
-                               std::memory_order_relaxed);
-    content_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
-    put_batches.fetch_add(1, std::memory_order_relaxed);
+    count(kCtrContentMessages, static_cast<std::int64_t>(sends.size()));
+    count(kCtrContentBytes, batch_bytes);
+    count(kCtrPutBatches);
     bump_progress();
   }
 
@@ -445,7 +443,7 @@ struct ThreadedExecutor::Impl {
       RAPID_CHECK(config.active_memory, "baseline must know every address");
       me.suspended_by_dest[s.dest].push_back(s);
       ++me.suspended_count;
-      suspended_sends.fetch_add(1, std::memory_order_relaxed);
+      count(kCtrSuspendedSends);
     }
   }
 
@@ -469,7 +467,7 @@ struct ThreadedExecutor::Impl {
         RAPID_CHECK(config.active_memory, "baseline must know every address");
         me.suspended_by_dest[s.dest].push_back(s);
         ++me.suspended_count;
-        suspended_sends.fetch_add(1, std::memory_order_relaxed);
+        count(kCtrSuspendedSends);
       }
     }
     if (!any_ready) return;
@@ -483,7 +481,7 @@ struct ThreadedExecutor::Impl {
 
   void send_flag(ProcId q, ProcId dest, TaskId t) {
     tp->raise_flag(win[dest], t);
-    flag_messages.fetch_add(1, std::memory_order_relaxed);
+    count(kCtrFlagMessages);
     if (tracing) trace->record(q, obs::EventKind::kFlagSend, t, 0, dest);
     bump_progress();
   }
@@ -517,7 +515,7 @@ struct ThreadedExecutor::Impl {
       owner = plan.schedule.proc_of_task[gate.flag_task];
       n.flag_task = gate.flag_task;
     }
-    nacks_sent.fetch_add(1, std::memory_order_relaxed);
+    count(kCtrNacksSent);
     publish_recovery_counters(q);
     if (tracing) {
       if (gate.object != graph::kInvalidData) {
@@ -548,7 +546,7 @@ struct ThreadedExecutor::Impl {
       // Flag stores are idempotent; resend iff the task completed here.
       if (plan.schedule.pos_of_task[n.flag_task] < me.pos) {
         send_flag(q, n.requester, n.flag_task);
-        flag_resends.fetch_add(1, std::memory_order_relaxed);
+        count(kCtrFlagResends);
         publish_recovery_counters(q);
         return true;
       }
@@ -573,7 +571,7 @@ struct ThreadedExecutor::Impl {
     if (me.current_version[d] > n.version) {
       // Stale re-request: the waiter was already satisfied (its NACK raced
       // the delivery). WAR anti-edges forbid this while the wait is real.
-      duplicate_suppressions.fetch_add(1, std::memory_order_relaxed);
+      count(kCtrDupSuppressions);
       return installed;
     }
     auto& queue = me.suspended_by_dest[n.requester];
@@ -596,7 +594,7 @@ struct ThreadedExecutor::Impl {
       // A newer put than the waiter observed is already published (the
       // NACK raced it): replaying now could race the waiter's verification
       // of that put. Suppress — the waiter re-checks before re-requesting.
-      duplicate_suppressions.fetch_add(1, std::memory_order_relaxed);
+      count(kCtrDupSuppressions);
       return installed;
     }
     transmit(q, ContentSend{d, n.version, n.requester});
@@ -695,11 +693,11 @@ struct ThreadedExecutor::Impl {
             // Replayed/duplicated package: entries were already installed
             // (idempotently installable anyway — one lifetime window per
             // object keeps the offsets identical), only the count matters.
-            duplicate_suppressions.fetch_add(1, std::memory_order_relaxed);
+            count(kCtrDupSuppressions);
             continue;
           }
           if (checksum_on && pkg.crc != pkg.checksum()) {
-            checksum_rejections.fetch_add(1, std::memory_order_relaxed);
+            count(kCtrChecksumRejections);
             if (!recovery_on) {
               fail(q,
                    cat("integrity: address package from p", pkg.reader,
@@ -779,7 +777,6 @@ struct ThreadedExecutor::Impl {
       ordinal = ++me.addr_pkgs_sent;
       if (induced_on && faults.drop_addr_src == q &&
           faults.drop_addr_nth == ordinal) {
-        dropped_packages.fetch_add(1, std::memory_order_relaxed);
         return true;  // swallowed: a lost control message
       }
       const std::int64_t delay = faults.addr_delay_us(q, dest, ordinal);
@@ -802,10 +799,9 @@ struct ThreadedExecutor::Impl {
       const std::uint64_t seen = bell->value();
       if (tp->try_send_addr_package(q, dest, stamped, config.mailbox_slots,
                                     copies)) {
-        addr_packages.fetch_add(1, std::memory_order_relaxed);
-        addr_entries.fetch_add(
-            static_cast<std::int64_t>(stamped.entries.size()),
-            std::memory_order_relaxed);
+        count(kCtrAddrPackages);
+        count(kCtrAddrEntries,
+              static_cast<std::int64_t>(stamped.entries.size()));
         sent = true;
         if (tracing) {
           trace->record(q, obs::EventKind::kAddrPkgSend,
@@ -864,7 +860,7 @@ struct ThreadedExecutor::Impl {
     }
     me.rejected_seq[d] = seq;
     me.fast_nack = true;  // re-request immediately, not at the deadline
-    checksum_rejections.fetch_add(1, std::memory_order_relaxed);
+    count(kCtrChecksumRejections);
     if (!recovery_on) {
       fail(q,
            cat("integrity: checksum mismatch on object ",
@@ -988,17 +984,38 @@ struct ThreadedExecutor::Impl {
     me.snap_seen = gen;
   }
 
-  /// Monitor-side: request snapshots, wait for the responsive workers,
-  /// synthesize light entries for the rest (they are inside task bodies),
-  /// and run the wait-for-graph analysis. Deliberately rings no doorbell:
-  /// bell.value() is the progress signal the caller re-checks to know the
-  /// collected snapshots describe one frozen instant.
-  StallReport collect_and_diagnose(double stalled_seconds) {
-    {
-      std::lock_guard<std::mutex> lock(snap_m);
-      snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
-                        ProcSnapshot{});
+  /// Rank q's stall snapshot from the light state it publishes to the
+  /// transport's control plane: all the shm coordinator sees of a worker
+  /// process, and what the in-process monitor has of a rank inside a task
+  /// body.
+  ProcSnapshot light_snapshot(ProcId q) const {
+    const LightState l = tp->light(q);
+    ProcSnapshot s;
+    s.proc = q;
+    s.state = static_cast<ProcState>(l.state);
+    s.pos = l.pos;
+    s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
+    if (s.pos >= 0 && s.pos < s.order_size) {
+      s.current_task = plan.procs[q].order[s.pos];
     }
+    if (s.state == ProcState::kRecBlocked) {
+      s.waiting_object = l.waiting_object;
+      s.waiting_version = l.waiting_version;
+      s.waiting_flag_task = l.waiting_flag;
+    } else if (s.state == ProcState::kMapBlocked) {
+      s.mailbox_full_dest = l.map_dest;
+    }
+    s.retry_attempts = l.retry_attempts;
+    return s;
+  }
+
+  /// In-process snapshot source: request snapshots and wait for the
+  /// responsive workers. Ranks inside a task body (or unwound) cannot
+  /// answer; their slots stay undetailed.
+  std::vector<ProcSnapshot> handshake_snapshots() {
+    std::unique_lock<std::mutex> lock(snap_m);
+    snap_slots.assign(static_cast<std::size_t>(plan.num_procs), {});
+    lock.unlock();
     snap_acked.store(0, std::memory_order_relaxed);
     snap_gen.fetch_add(1, std::memory_order_release);
     // Parked workers wake within one park timeout and notice the request;
@@ -1019,34 +1036,34 @@ struct ThreadedExecutor::Impl {
       if (sw.seconds() * 1e6 > static_cast<double>(deadline_us)) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    std::vector<ProcSnapshot> snaps;
-    {
-      std::lock_guard<std::mutex> lock(snap_m);
-      snaps = snap_slots;
-    }
+    lock.lock();
+    return snap_slots;
+  }
+
+  /// Every rank's stall snapshot, diagnosed: from the handshake
+  /// in-process, else (shm, or no answer) from light_snapshot. Rings no
+  /// doorbell: bell.value() is the progress signal the caller re-checks to
+  /// know the snapshots describe one frozen instant.
+  StallReport collect_and_diagnose(double stalled_seconds) {
+    std::vector<ProcSnapshot> snaps =
+        session ? std::vector<ProcSnapshot>(
+                      static_cast<std::size_t>(plan.num_procs))
+                : handshake_snapshots();
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       ProcSnapshot& s = snaps[static_cast<std::size_t>(q)];
-      if (s.detailed) continue;
-      const LightState light = tp->light(q);
-      s.proc = q;
-      s.state = static_cast<ProcState>(light.state);
-      s.pos = light.pos;
-      s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
+      if (!s.detailed) s = light_snapshot(q);
     }
-    std::vector<std::string> errs = tp->failure_texts();
     StallReport report = diagnose_stall(plan, std::move(snaps),
-                                        stalled_seconds, std::move(errs));
+                                        stalled_seconds, tp->failure_texts());
     report.attempt_deadline_us = options.attempt_deadline_us;
     return report;
   }
 
-  /// Deadline/cancel poll shared by the inproc monitor and the shm
-  /// coordinator loop. Returns true when it cancelled the run (the caller
-  /// breaks out of its loop; workers unwind via the abort).
+  /// Deadline/cancel poll of the monitor. Returns true when it cancelled
+  /// the run (workers unwind via the abort).
   bool check_cancelled() {
     if (options.attempt_deadline_us > 0) {
-      const auto elapsed_us =
-          static_cast<std::int64_t>(since_run_start.seconds() * 1e6);
+      const std::int64_t elapsed_us = since_run_start.nanos() / 1000;
       if (elapsed_us >= options.attempt_deadline_us) {
         fail(graph::kInvalidProc,
              cat("run cancelled: attempt deadline of ",
@@ -1073,35 +1090,96 @@ struct ThreadedExecutor::Impl {
   /// lapse is noticed promptly even when the heartbeat is coarse.
   std::int64_t deadline_clamped(std::int64_t heartbeat_us) const {
     if (options.attempt_deadline_us <= 0) return heartbeat_us;
-    const auto elapsed_us =
-        static_cast<std::int64_t>(since_run_start.seconds() * 1e6);
-    const std::int64_t remaining =
-        std::max<std::int64_t>(options.attempt_deadline_us - elapsed_us, 500);
+    const std::int64_t remaining = std::max<std::int64_t>(
+        options.attempt_deadline_us - since_run_start.nanos() / 1000, 500);
     return std::min(heartbeat_us, remaining);
   }
 
-  /// The progress monitor (replaces the blind watchdog): parked on the
-  /// control doorbell, it samples the data doorbell on a heartbeat. After
-  /// stall_check_seconds without progress it collects a snapshot and builds
-  /// the wait-for graph — a genuine cycle (or a wait on a quiescent
-  /// processor) fails the run immediately with the StallReport; anything
-  /// else is slow progress and the run resumes. With recovery enabled, a
-  /// genuine diagnosis is held instead of failed: the re-request layer can
-  /// heal waits that are provably dead under fail-stop rules (a dropped
-  /// address package forms a real cycle that one NACK dissolves). The run
-  /// then fails only when a waiter exhausted its bounded retries while
-  /// global progress is stopped, or when the RetryPolicy-scaled watchdog
-  /// budget expires. An unchanged bell across the whole snapshot window is
-  /// what makes the per-processor snapshots mutually consistent: every
-  /// unblocking event rings the bell, so "bell unmoved" means no processor
-  /// changed protocol state while the snapshots were taken.
-  void monitor() {
+  /// Fails the run with its stall diagnosis, headed by the one cause.
+  void escalate(std::shared_ptr<StallReport> report, const char* cause,
+                FailureKind kind) {
+    stall_report = report;
+    fail(graph::kInvalidProc, cat(cause, report->summary()), kind);
+  }
+
+  bool run_over() const {
+    return tp->quiescent_count() >= plan.num_procs || tp->aborted() ||
+           (session && session->all_exited());
+  }
+
+  /// Whether a waiter ran out of re-requests and is still blocked.
+  /// In-process the workers count such waits; a worker process records
+  /// one in its rank's control slot.
+  bool retries_exhausted() const {
+    if (exhausted_waiters.load(std::memory_order_acquire) > 0) return true;
+    if (!session) return false;
+    for (ProcId q = 0; q < plan.num_procs; ++q) {
+      const LightState l = tp->light(q);
+      if (l.retries_exhausted &&
+          static_cast<ProcState>(l.state) == ProcState::kRecBlocked) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// How a dead rank is detected, shm only (a thread cannot die apart from
+  /// the run): waitpid reaps an unclean exit, and a rank whose lease lapsed
+  /// outside quiescence (SIGSTOP, livelock; in EXE its heartbeat thread
+  /// beats) is killed to make fail-stop true. `since_spawn` times a rank
+  /// that never beat.
+  std::shared_ptr<ProcFailureReport> dead_rank(const Stopwatch& since_spawn) {
+    if (!session) return nullptr;
+    ShmTransport& st = session->transport();
+    session->poll();
+    for (ProcId q = 0; q < plan.num_procs; ++q) {
+      ShmSession::Child& c = session->child(q);
+      if (!c.exited || c.reported) continue;
+      c.reported = true;
+      if (c.signal != 0 || (c.exit_code != kShmWorkerClean &&
+                            c.exit_code != kShmWorkerAborted &&
+                            c.exit_code != kShmWorkerFailed)) {
+        return make_proc_failure(q, "waitpid", c.signal, c.exit_code,
+                                 st.lease_age_seconds(q));
+      }
+    }
+    if (run_over()) return nullptr;
+    for (ProcId q = 0; q < plan.num_procs; ++q) {
+      if (session->child(q).exited || st.worker_done(q)) continue;
+      const LightState l = tp->light(q);
+      const auto ps = static_cast<ProcState>(l.state);
+      if (ps == ProcState::kQuiescent || ps == ProcState::kFailed) continue;
+      const double age = l.lease_ns == 0 ? since_spawn.seconds()
+                                         : st.lease_age_seconds(q);
+      if (age > options.lease_timeout_seconds) {
+        ::kill(session->child(q).pid, SIGKILL);
+        return make_proc_failure(q, "lease", SIGKILL, 0, age);
+      }
+    }
+    return nullptr;
+  }
+
+  /// The progress monitor, one for both transports: parked on the control
+  /// doorbell, it checks for dead ranks, cancellation and progress on a
+  /// heartbeat. After stall_check_seconds without progress it builds the
+  /// wait-for graph from a snapshot — a genuine cycle (or a wait on a
+  /// quiescent processor) fails the run at once with the StallReport;
+  /// anything else is slow progress and the run resumes. With recovery on,
+  /// a genuine diagnosis is held instead: the re-request layer can heal
+  /// waits that are dead under fail-stop rules (one NACK dissolves the
+  /// cycle of a dropped address package). The run then fails only when a
+  /// waiter exhausted its retries while progress is stopped, or when the
+  /// RetryPolicy-scaled watchdog expires. An unchanged bell across the
+  /// snapshot window makes the snapshots mutually consistent: every
+  /// unblocking event rings it. Returns the dead rank's report if one died.
+  std::shared_ptr<ProcFailureReport> monitor() {
     const double stall_after =
         std::min(options.stall_check_seconds, effective_watchdog);
     const std::int64_t heartbeat_us = std::clamp<std::int64_t>(
         static_cast<std::int64_t>(stall_after * 1e6 / 4), 1000, 250000);
     std::uint64_t last = bell->value();
     Stopwatch since_progress;
+    const Stopwatch since_spawn;
     bool diagnosed = false;  // already analyzed this bell value
     std::shared_ptr<StallReport> pending;  // slow-progress diagnosis
     for (;;) {
@@ -1109,10 +1187,8 @@ struct ThreadedExecutor::Impl {
       // the read makes the park return immediately, so run termination is
       // never charged a full heartbeat of latency.
       const std::uint64_t control_seen = control_bell->value();
-      if (tp->quiescent_count() >= plan.num_procs || tp->aborted()) {
-        break;
-      }
-      if (check_cancelled()) break;
+      if (auto dead = dead_rank(since_spawn)) return dead;
+      if (run_over() || check_cancelled()) return nullptr;
       const std::uint64_t now = bell->value();
       if (now != last) {
         last = now;
@@ -1121,18 +1197,15 @@ struct ThreadedExecutor::Impl {
         pending.reset();
       }
       const double stalled = since_progress.seconds();
-      if (recovery_on && stalled > stall_after &&
-          exhausted_waiters.load(std::memory_order_acquire) > 0) {
+      if (recovery_on && stalled > stall_after && retries_exhausted()) {
         auto report =
             std::make_shared<StallReport>(collect_and_diagnose(stalled));
         if (bell->value() != now) continue;  // progressed mid-snapshot
-        if (exhausted_waiters.load(std::memory_order_acquire) > 0) {
+        if (retries_exhausted()) {
           report->retries_exhausted = true;
-          stall_report = report;
-          fail(graph::kInvalidProc,
-               cat("recovery retries exhausted: ", report->summary()),
-               FailureKind::kRetriesExhausted);
-          break;
+          escalate(report, "recovery retries exhausted: ",
+                   FailureKind::kRetriesExhausted);
+          return nullptr;
         }
         continue;  // the exhausted wait healed while we were snapshotting
       }
@@ -1142,11 +1215,8 @@ struct ThreadedExecutor::Impl {
         if (bell->value() != now) continue;  // progressed mid-snapshot
         diagnosed = true;
         if (report->genuine_deadlock && !recovery_on) {
-          stall_report = report;
-          fail(graph::kInvalidProc,
-               cat("protocol deadlock: ", report->summary()),
-               FailureKind::kDeadlock);
-          break;
+          escalate(report, "protocol deadlock: ", FailureKind::kDeadlock);
+          return nullptr;
         }
         // Slow progress — or, with recovery on, a diagnosis the re-request
         // layer may yet dissolve: hold for the (scaled) watchdog.
@@ -1160,10 +1230,8 @@ struct ThreadedExecutor::Impl {
         // The diagnosis may date from stall_after; the headline's one
         // duration is the whole stall.
         pending->stalled_seconds = stalled;
-        stall_report = pending;
-        fail(graph::kInvalidProc, cat("watchdog: ", pending->summary()),
-             FailureKind::kWatchdog);
-        break;
+        escalate(pending, "watchdog: ", FailureKind::kWatchdog);
+        return nullptr;
       }
       control_bell->wait(control_seen, deadline_clamped(heartbeat_us));
     }
@@ -1219,7 +1287,7 @@ struct ThreadedExecutor::Impl {
       }
     }
     dispatch_sends(q, me.send_scratch);
-    tasks_executed.fetch_add(1, std::memory_order_relaxed);
+    count(kCtrTasksExecuted);
     bump_progress();
   }
 
@@ -1255,7 +1323,7 @@ struct ThreadedExecutor::Impl {
             tp->aborted()) {
           throw;
         }
-        task_retries.fetch_add(1, std::memory_order_relaxed);
+        count(kCtrTaskRetries);
         sleep_us(options.retry.delay_us(attempt));
         ++attempt;
       }
@@ -1415,33 +1483,43 @@ struct ThreadedExecutor::Impl {
     }
   }
 
-  void fill_counters(RunReport& report) {
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      report.maps_per_proc[q] = priv[q].maps;
-      if (priv[q].memory) {
-        report.peak_bytes_per_proc[q] = priv[q].memory->peak_bytes();
-      }
+  /// Rank q's counter table as this process holds it. The atomics count
+  /// every rank this process plays, so `with_shared` puts them into
+  /// exactly one rank's table.
+  ShmCounters counter_table(ProcId q, bool with_shared) const {
+    ShmCounters c{};
+    if (with_shared) {
+      for (std::size_t i = 0; i < c.size(); ++i) c[i] = ctr[i].load();
     }
-    report.content_messages = content_messages.load();
-    report.content_bytes = content_bytes.load();
-    report.put_batches = put_batches.load();
-    report.flag_messages = flag_messages.load();
-    report.addr_packages = addr_packages.load();
-    report.addr_entries = addr_entries.load();
-    report.suspended_sends = suspended_sends.load();
-    report.tasks_executed = tasks_executed.load();
-    report.recovery.nacks_sent = nacks_sent.load();
-    report.recovery.resends = resends.load();
-    report.recovery.flag_resends = flag_resends.load();
-    report.recovery.duplicate_suppressions = duplicate_suppressions.load();
-    report.recovery.checksum_rejections = checksum_rejections.load();
-    report.recovery.task_retries = task_retries.load();
+    c[kCtrMaps] = priv[q].maps;
+    c[kCtrPeakBytes] = priv[q].memory ? priv[q].memory->peak_bytes() : 0;
+    return c;
+  }
+
+  /// The one counter read-out: adds rank q's table into the report.
+  static void add_counters(RunReport& report, ProcId q, const ShmCounters& c) {
+    report.maps_per_proc[q] = static_cast<std::int32_t>(c[kCtrMaps]);
+    report.peak_bytes_per_proc[q] = c[kCtrPeakBytes];
+    report.content_messages += c[kCtrContentMessages];
+    report.content_bytes += c[kCtrContentBytes];
+    report.put_batches += c[kCtrPutBatches];
+    report.flag_messages += c[kCtrFlagMessages];
+    report.addr_packages += c[kCtrAddrPackages];
+    report.addr_entries += c[kCtrAddrEntries];
+    report.suspended_sends += c[kCtrSuspendedSends];
+    report.tasks_executed += c[kCtrTasksExecuted];
+    report.recovery.nacks_sent += c[kCtrNacksSent];
+    report.recovery.resends += c[kCtrResends];
+    report.recovery.flag_resends += c[kCtrFlagResends];
+    report.recovery.duplicate_suppressions += c[kCtrDupSuppressions];
+    report.recovery.checksum_rejections += c[kCtrChecksumRejections];
+    report.recovery.task_retries += c[kCtrTaskRetries];
   }
 
   // ---- run orchestration -------------------------------------------------
 
-  /// Per-run state reset plus the plan-derived index tables; shared by both
-  /// backends and by shm_worker_run.
+  /// Per-run state reset plus the plan-derived index tables (run() and
+  /// shm_worker_run).
   void reset_run_state() {
     completed = false;
     priv.clear();
@@ -1522,15 +1600,29 @@ struct ThreadedExecutor::Impl {
     pr.pkg_seq_seen.assign(static_cast<std::size_t>(plan.num_procs), 0);
   }
 
-  /// Flattened epoch counters (owner-private: every writer of an object
-  /// runs on its owner) plus the baseline address prefill.
-  void setup_epochs_and_baseline() {
+  /// The one attach-and-set-up step of every process in a run: windows,
+  /// bells, every rank's MAP engine and tables (offsets are deterministic,
+  /// so all processes agree), epochs, baseline prefill and heap samples.
+  /// Only the ranks this process plays get the free hook and the samples:
+  /// every rank in-process, `rank` in a worker process, none in the shm
+  /// coordinator (graph::kInvalidProc). Throws NonExecutableError.
+  void attach(Transport& t, ProcId rank) {
+    tp = &t;
+    bell = &t.data_bell();
+    control_bell = &t.control_bell();
+    for (ProcId q = 0; q < plan.num_procs; ++q) win.push_back(t.window(q));
+    const auto plays = [&](ProcId q) {
+      return !t.cross_process() || q == rank;
+    };
+    // Flattened epoch counters (owner-private: every writer of an object
+    // runs on its owner).
     std::size_t total_epochs = 0;
     for (DataId d = 0; d < plan.graph->num_data(); ++d) {
       epoch_base[d] = total_epochs;
       total_epochs += plan.objects[d].epochs.size();
     }
     for (ProcId q = 0; q < plan.num_procs; ++q) {
+      setup_proc_state(q, plays(q));
       priv[q].epoch_remaining.assign(total_epochs, 0);
     }
     for (DataId d = 0; d < plan.graph->num_data(); ++d) {
@@ -1551,28 +1643,31 @@ struct ThreadedExecutor::Impl {
         }
       }
     }
+    if (!tracing) return;
+    // Baseline heap samples (permanents, plus preallocated volatiles in
+    // baseline mode), recorded before the workers exist so the
+    // single-writer ring rule holds via the thread-creation edge.
+    for (ProcId q = 0; q < plan.num_procs; ++q) {
+      if (!plays(q)) continue;
+      trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
+                    priv[q].memory->in_use_bytes());
+      trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
+                    priv[q].memory->peak_bytes());
+    }
   }
 
-  RunReport nonexecutable_report(const std::exception& e) {
-    RunReport report;
-    report.run_id = options.run_id;
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    report.peak_bytes_per_proc.assign(
-        static_cast<std::size_t>(plan.num_procs), 0);
-    report.executable = false;
-    report.failure = e.what();
-    report.failure_kind = FailureKind::kNonExecutable;
-    report.errors.push_back(e.what());
-    report.transport = to_string(options.transport);
+  /// The one failure disposition: records the failure, then reports the
+  /// "∞" kNonExecutable channel and throws every other kind.
+  RunReport dispose(RunReport& report, FailureKind kind, std::string failure,
+                    std::vector<std::string> errors) {
+    report.failure_kind = kind;
+    report.failure = std::move(failure);
+    report.errors = std::move(errors);
+    if (kind == FailureKind::kNonExecutable) report.executable = false;
     last_report = report;
-    return report;
-  }
-
-  /// Shared failure disposition: returns normally only for the reported
-  /// (non-throwing) kNonExecutable channel.
-  [[noreturn]] void throw_disposition(RunReport& report) {
-    switch (report.failure_kind) {
+    switch (kind) {
+      case FailureKind::kNonExecutable:
+        return report;
       case FailureKind::kDeadlock:
       case FailureKind::kWatchdog:
       case FailureKind::kRetriesExhausted:
@@ -1587,80 +1682,148 @@ struct ThreadedExecutor::Impl {
     }
   }
 
-  RunReport run_inproc() {
+  /// How ranks start: one thread per rank in-process, one worker process
+  /// per rank on shm.
+  void start_ranks(std::vector<std::thread>& threads) {
+    if (!session) {
+      threads.reserve(static_cast<std::size_t>(plan.num_procs));
+      for (ProcId q = 0; q < plan.num_procs; ++q) {
+        threads.emplace_back([this, q] { worker(q); });
+      }
+    } else if (options.shm_launch == ThreadedOptions::ShmLaunch::kSpawn) {
+      RAPID_CHECK(!options.shm_worker_path.empty(),
+                  "shm spawn mode needs ThreadedOptions::shm_worker_path");
+      RAPID_CHECK(!options.workload_spec.empty(),
+                  "shm spawn mode needs ThreadedOptions::workload_spec so "
+                  "rapid_shm_worker can rebuild the plan");
+      session->spawn_exec(options.shm_worker_path);
+    } else {
+      ShmTransport* st = &session->transport();
+      session->spawn_fork([this, st](ProcId) {
+        // spawn_fork already switched the transport's rank.
+        return shm_worker_run(*st, plan, init, body);
+      });
+    }
+  }
+
+  /// How ranks stop: they end on quiescence or the abort, which every
+  /// other way out of the monitor has requested; no child may outlive the
+  /// run.
+  void stop_ranks(std::vector<std::thread>& threads) {
+    for (auto& th : threads) th.join();
+    if (!session) return;
+    if (!session->wait_all(
+            std::max(2.0, 2.0 * options.lease_timeout_seconds))) {
+      session->kill_all(SIGKILL);
+      session->wait_all(5.0);
+    }
+  }
+
+  RunReport run() {
     RunReport report;
     report.run_id = options.run_id;
     report.attempt_deadline_us = options.attempt_deadline_us;
+    report.transport = to_string(options.transport);
     report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
     report.peak_bytes_per_proc.assign(
         static_cast<std::size_t>(plan.num_procs), 0);
     reset_run_state();
     since_run_start.reset();
     set_log_thread_run(options.run_id);
-    try {
-      if (config.audit) verify::audit_or_throw(plan, config);
-      owned_tp = make_inproc_transport(
-          plan.num_procs, plan.graph->num_data(), plan.graph->num_tasks(),
-          config.capacity_per_proc);
-      tp = owned_tp.get();
-      bell = &tp->data_bell();
-      control_bell = &tp->control_bell();
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        win.push_back(tp->window(q));
-      }
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        setup_proc_state(q, /*install_free_hook=*/true);
-      }
-    } catch (const NonExecutableError& e) {
-      return nonexecutable_report(e);
-    }
-    setup_epochs_and_baseline();
+    const bool shm = options.transport == TransportKind::kShm;
 
+    // Shm workers dump their trace rings into trace_dir for the merge.
+    std::string trace_dir = options.shm_trace_dir;
+    const bool throwaway_trace_dir = shm && tracing && trace_dir.empty();
     if (tracing) {
       RAPID_CHECK(trace->num_procs() >= plan.num_procs,
                   "the Trace is sized for fewer processors than the plan");
       // Tag the trace with its owning run before any worker writes a
       // record, so multi-tenant Chrome traces split per run.
       if (options.run_id > 0) trace->set_run_id(options.run_id);
-      // Baseline heap samples (permanents, plus preallocated volatiles in
-      // baseline mode), recorded before the workers exist so the
-      // single-writer ring rule holds via the thread-creation edge.
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                      priv[q].memory->in_use_bytes());
-        trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                      priv[q].memory->peak_bytes());
+      if (throwaway_trace_dir) {
+        trace_dir = (std::filesystem::temp_directory_path() /
+                     cat("rapid-trace-", ::getpid(), "-",
+                         now_ns() & 0xffffff))
+                        .string();
       }
+      if (shm) std::filesystem::create_directories(trace_dir);
+    }
+
+    try {
+      if (config.audit) verify::audit_or_throw(plan, config);
+      if (shm) {
+        session = ShmSession::create(
+            {plan.num_procs, plan.graph->num_data(), plan.graph->num_tasks(),
+             config.capacity_per_proc},
+            build_shm_spec(trace_dir));
+      } else {
+        owned_tp = make_inproc_transport(
+            plan.num_procs, plan.graph->num_data(), plan.graph->num_tasks(),
+            config.capacity_per_proc);
+      }
+      attach(shm ? session->transport() : *owned_tp, graph::kInvalidProc);
+    } catch (const NonExecutableError& e) {
+      session.reset();
+      return dispose(report, FailureKind::kNonExecutable, e.what(),
+                     {e.what()});
     }
 
     Stopwatch wall;
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(plan.num_procs));
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      threads.emplace_back([this, q] { worker(q); });
-    }
-    monitor();
-    for (auto& th : threads) th.join();
+    start_ranks(threads);
+    const std::shared_ptr<ProcFailureReport> proc_failure = monitor();
+    stop_ranks(threads);
     report.parallel_time_us = wall.seconds() * 1e6;
-    fill_counters(report);
-    report.transport = to_string(tp->kind());
+    // Where counters are read from: each shm rank published its own table
+    // at exit; in-process the atomics count every rank at once.
+    for (ProcId q = 0; q < plan.num_procs; ++q) {
+      if (!session) {
+        add_counters(report, q, counter_table(q, /*with_shared=*/q == 0));
+      } else if (session->transport().worker_done(q)) {
+        add_counters(report, q, session->transport().worker_counters(q));
+      }
+    }
     if (tracing) {
+      if (shm) merge_worker_traces(trace_dir);
       report.metrics = std::make_shared<obs::MetricsSummary>(
           obs::derive_metrics(*trace));
+      if (throwaway_trace_dir) {
+        std::error_code ec;
+        std::filesystem::remove_all(trace_dir, ec);
+      }
     }
 
+    if (proc_failure) {
+      report.proc_failure = proc_failure;
+      return dispose(report, FailureKind::kProcFailure,
+                     proc_failure->summary(), tp->failure_texts());
+    }
     if (tp->any_failure()) {
-      const std::vector<std::string> texts = tp->failure_texts();
-      report.failure = texts.empty() ? "unknown failure" : texts.front();
-      report.failure_kind = tp->first_failure_kind();
-      report.errors = texts;
-      last_report = report;
-      if (report.failure_kind == FailureKind::kNonExecutable) {
-        report.executable = false;  // the "∞" channel: reported, not thrown
-        last_report = report;
-        return report;
+      std::vector<std::string> texts = tp->failure_texts();
+      std::string first = texts.empty() ? "unknown failure" : texts.front();
+      return dispose(report, tp->first_failure_kind(), std::move(first),
+                     std::move(texts));
+    }
+    if (session && tp->quiescent_count() < plan.num_procs) {
+      // Every worker process exited without quiescence or any recorded
+      // failure — should be impossible; surface it (with each child's exit
+      // status and last beat) rather than return a bogus clean report.
+      std::string detail = cat("shm run ended without quiescence or a "
+                               "recorded failure (quiescent ",
+                               tp->quiescent_count(), "/", plan.num_procs,
+                               ")");
+      for (ProcId q = 0; q < plan.num_procs; ++q) {
+        const ShmSession::Child& c = session->child(q);
+        const LightState l = tp->light(q);
+        detail += cat("; p", q, ": ",
+                      c.exited
+                          ? (c.signal != 0 ? cat("signal ", c.signal)
+                                           : cat("exit ", c.exit_code))
+                          : std::string("running"),
+                      " state ", static_cast<int>(l.state), " pos ", l.pos);
       }
-      throw_disposition(report);
+      return dispose(report, FailureKind::kWatchdog, detail, {detail});
     }
     completed = report.executable;
     last_report = report;
@@ -1698,37 +1861,6 @@ struct ThreadedExecutor::Impl {
     return spec;
   }
 
-  /// Light-state stall diagnosis for the coordinator: the workers live in
-  /// other processes, so snapshots are synthesized from their beat/beat_wait
-  /// publications in the control segment instead of the cooperative
-  /// snapshot handshake.
-  StallReport shm_collect(double stalled_seconds) {
-    std::vector<ProcSnapshot> snaps(static_cast<std::size_t>(plan.num_procs));
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      ProcSnapshot& s = snaps[static_cast<std::size_t>(q)];
-      const LightState l = tp->light(q);
-      s.proc = q;
-      s.state = static_cast<ProcState>(l.state);
-      s.pos = l.pos;
-      s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
-      if (s.pos >= 0 && s.pos < s.order_size) {
-        s.current_task = plan.procs[q].order[s.pos];
-      }
-      if (s.state == ProcState::kRecBlocked) {
-        s.waiting_object = l.waiting_object;
-        s.waiting_version = l.waiting_version;
-        s.waiting_flag_task = l.waiting_flag;
-      } else if (s.state == ProcState::kMapBlocked) {
-        s.mailbox_full_dest = l.map_dest;
-      }
-      s.retry_attempts = l.retry_attempts;
-    }
-    StallReport report = diagnose_stall(plan, std::move(snaps),
-                                        stalled_seconds, tp->failure_texts());
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    return report;
-  }
-
   /// Structured diagnosis of rank `dead`'s death, including every
   /// survivor's wait that only the corpse could have satisfied. Also
   /// records the failure into the control segment (coordinator slot) and
@@ -1752,57 +1884,19 @@ struct ThreadedExecutor::Impl {
       if (st == ProcState::kRecBlocked) {
         if (l.waiting_object != graph::kInvalidData &&
             plan.graph->data(l.waiting_object).owner == dead) {
-          OrphanedWait w;
-          w.waiter = q;
-          w.object = l.waiting_object;
-          w.version = l.waiting_version;
-          r->orphaned.push_back(w);
+          r->orphaned.push_back({.waiter = q,
+                                 .object = l.waiting_object,
+                                 .version = l.waiting_version});
         } else if (l.waiting_flag != graph::kInvalidTask &&
                    plan.schedule.proc_of_task[l.waiting_flag] == dead) {
-          OrphanedWait w;
-          w.waiter = q;
-          w.flag_task = l.waiting_flag;
-          r->orphaned.push_back(w);
+          r->orphaned.push_back({.waiter = q, .flag_task = l.waiting_flag});
         }
       } else if (st == ProcState::kMapBlocked && l.map_dest == dead) {
-        OrphanedWait w;
-        w.waiter = q;
-        w.map_blocked = true;
-        r->orphaned.push_back(w);
+        r->orphaned.push_back({.waiter = q, .map_blocked = true});
       }
     }
-    tp->report_failure(graph::kInvalidProc, FailureKind::kProcFailure,
-                       r->summary());
-    tp->request_abort();
-    bell->ring();
-    control_bell->ring();
+    fail(graph::kInvalidProc, r->summary(), FailureKind::kProcFailure);
     return r;
-  }
-
-  void fill_counters_shm(RunReport& report) {
-    ShmTransport& st = session->transport();
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      if (!st.worker_done(q)) continue;
-      report.maps_per_proc[q] =
-          static_cast<std::int32_t>(st.worker_counter(q, kCtrMaps));
-      report.peak_bytes_per_proc[q] = st.worker_counter(q, kCtrPeakBytes);
-      report.content_messages += st.worker_counter(q, kCtrContentMessages);
-      report.content_bytes += st.worker_counter(q, kCtrContentBytes);
-      report.put_batches += st.worker_counter(q, kCtrPutBatches);
-      report.flag_messages += st.worker_counter(q, kCtrFlagMessages);
-      report.addr_packages += st.worker_counter(q, kCtrAddrPackages);
-      report.addr_entries += st.worker_counter(q, kCtrAddrEntries);
-      report.suspended_sends += st.worker_counter(q, kCtrSuspendedSends);
-      report.tasks_executed += st.worker_counter(q, kCtrTasksExecuted);
-      report.recovery.nacks_sent += st.worker_counter(q, kCtrNacksSent);
-      report.recovery.resends += st.worker_counter(q, kCtrResends);
-      report.recovery.flag_resends += st.worker_counter(q, kCtrFlagResends);
-      report.recovery.duplicate_suppressions +=
-          st.worker_counter(q, kCtrDupSuppressions);
-      report.recovery.checksum_rejections +=
-          st.worker_counter(q, kCtrChecksumRejections);
-      report.recovery.task_retries += st.worker_counter(q, kCtrTaskRetries);
-    }
   }
 
   /// Merges the per-rank trace dumps the workers left in `dir` into the
@@ -1834,248 +1928,6 @@ struct ThreadedExecutor::Impl {
       }
     }
   }
-
-  RunReport run_shm() {
-    RunReport report;
-    report.run_id = options.run_id;
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    report.transport = to_string(TransportKind::kShm);
-    report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    report.peak_bytes_per_proc.assign(
-        static_cast<std::size_t>(plan.num_procs), 0);
-    reset_run_state();
-    since_run_start.reset();
-    set_log_thread_run(options.run_id);
-
-    std::string trace_dir = options.shm_trace_dir;
-    bool throwaway_trace_dir = false;
-    if (tracing) {
-      RAPID_CHECK(trace->num_procs() >= plan.num_procs,
-                  "the Trace is sized for fewer processors than the plan");
-      if (options.run_id > 0) trace->set_run_id(options.run_id);
-      if (trace_dir.empty()) {
-        trace_dir = (std::filesystem::temp_directory_path() /
-                     cat("rapid-trace-", ::getpid(), "-",
-                         now_ns() & 0xffffff))
-                        .string();
-        throwaway_trace_dir = true;
-      }
-      std::filesystem::create_directories(trace_dir);
-    }
-
-    try {
-      if (config.audit) verify::audit_or_throw(plan, config);
-      ShmTransport::Dims dims;
-      dims.num_procs = plan.num_procs;
-      dims.num_data = plan.graph->num_data();
-      dims.num_tasks = plan.graph->num_tasks();
-      dims.heap_bytes = config.capacity_per_proc;
-      session = ShmSession::create(dims, build_shm_spec(trace_dir));
-      tp = &session->transport();
-      bell = &tp->data_bell();
-      control_bell = &tp->control_bell();
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        win.push_back(tp->window(q));
-      }
-      // Coordinator-side MAP engines for every rank: the offsets are
-      // deterministic, so read_object and the baseline prefill agree with
-      // the engines the workers rebuild for themselves. No free hooks —
-      // the coordinator never plays a protocol role.
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        setup_proc_state(q, /*install_free_hook=*/false);
-      }
-    } catch (const NonExecutableError& e) {
-      session.reset();
-      return nonexecutable_report(e);
-    }
-    setup_epochs_and_baseline();
-
-    Stopwatch wall;
-    if (options.shm_launch == ThreadedOptions::ShmLaunch::kSpawn) {
-      RAPID_CHECK(!options.shm_worker_path.empty(),
-                  "shm spawn mode needs ThreadedOptions::shm_worker_path");
-      RAPID_CHECK(!options.workload_spec.empty(),
-                  "shm spawn mode needs ThreadedOptions::workload_spec so "
-                  "rapid_shm_worker can rebuild the plan");
-      session->spawn_exec(options.shm_worker_path);
-    } else {
-      ShmTransport* st = &session->transport();
-      session->spawn_fork([this, st](ProcId q) {
-        (void)q;  // spawn_fork already switched the transport's rank
-        return shm_worker_run(*st, plan, init, body);
-      });
-    }
-
-    // Coordinator loop: reap deaths, police leases, watch progress.
-    std::shared_ptr<ProcFailureReport> proc_failure;
-    ShmTransport& st = session->transport();
-    const double stall_after =
-        std::min(options.stall_check_seconds, effective_watchdog);
-    const std::int64_t heartbeat_us = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(stall_after * 1e6 / 4), 1000, 250000);
-    std::uint64_t last = bell->value();
-    Stopwatch since_progress;
-    Stopwatch since_start;
-    bool diagnosed = false;
-    std::shared_ptr<StallReport> pending;
-    for (;;) {
-      const std::uint64_t control_seen = control_bell->value();
-      session->poll();
-      for (ProcId q = 0; q < plan.num_procs && !proc_failure; ++q) {
-        ShmSession::Child& c = session->child(q);
-        if (!c.exited || c.reported) continue;
-        c.reported = true;
-        if (c.signal != 0 || (c.exit_code != kShmWorkerClean &&
-                              c.exit_code != kShmWorkerAborted &&
-                              c.exit_code != kShmWorkerFailed)) {
-          proc_failure = make_proc_failure(q, "waitpid", c.signal,
-                                           c.exit_code,
-                                           st.lease_age_seconds(q));
-        }
-      }
-      if (proc_failure) break;
-      if (tp->quiescent_count() >= plan.num_procs || tp->aborted()) break;
-      if (check_cancelled()) break;
-      if (session->all_exited()) break;  // defensive: no child left to wait on
-      // Lease lapse: a rank that stopped beating (in EXE its heartbeat
-      // thread beats for the task body) is dead to the protocol even if the
-      // process still exists (SIGSTOP, livelock). Kill it so fail-stop is
-      // true, then report.
-      for (ProcId q = 0; q < plan.num_procs && !proc_failure; ++q) {
-        if (session->child(q).exited || st.worker_done(q)) continue;
-        const LightState l = tp->light(q);
-        const auto state = static_cast<ProcState>(l.state);
-        if (state == ProcState::kQuiescent || state == ProcState::kFailed) {
-          continue;
-        }
-        const double age = l.lease_ns == 0 ? since_start.seconds()
-                                           : st.lease_age_seconds(q);
-        if (age > options.lease_timeout_seconds) {
-          ::kill(session->child(q).pid, SIGKILL);
-          proc_failure = make_proc_failure(q, "lease", SIGKILL, 0, age);
-        }
-      }
-      if (proc_failure) break;
-      const std::uint64_t now = bell->value();
-      if (now != last) {
-        last = now;
-        since_progress.reset();
-        diagnosed = false;
-        pending.reset();
-      }
-      const double stalled = since_progress.seconds();
-      if (stalled > stall_after && !diagnosed) {
-        auto rep = std::make_shared<StallReport>(shm_collect(stalled));
-        if (bell->value() != now) continue;  // progressed mid-snapshot
-        diagnosed = true;
-        bool exhausted = false;
-        for (ProcId q = 0; q < plan.num_procs; ++q) {
-          if (tp->light(q).retries_exhausted) exhausted = true;
-        }
-        if (recovery_on && exhausted) {
-          rep->retries_exhausted = true;
-          stall_report = rep;
-          fail(graph::kInvalidProc,
-               cat("recovery retries exhausted: ", rep->summary()),
-               FailureKind::kRetriesExhausted);
-          break;
-        }
-        if (rep->genuine_deadlock && !recovery_on) {
-          stall_report = rep;
-          fail(graph::kInvalidProc,
-               cat("protocol deadlock: ", rep->summary()),
-               FailureKind::kDeadlock);
-          break;
-        }
-        pending = rep;
-      }
-      if (stalled > effective_watchdog) {
-        if (!pending) {
-          pending = std::make_shared<StallReport>(shm_collect(stalled));
-        }
-        pending->stalled_seconds = stalled;  // as in the in-process monitor
-        stall_report = pending;
-        fail(graph::kInvalidProc, cat("watchdog: ", pending->summary()),
-             FailureKind::kWatchdog);
-        break;
-      }
-      control_bell->wait(control_seen, deadline_clamped(heartbeat_us));
-    }
-
-    // Teardown: whatever ended the loop, no child may outlive the run.
-    const bool clean = !proc_failure && !tp->any_failure() &&
-                       tp->quiescent_count() >= plan.num_procs;
-    if (!clean) {
-      tp->request_abort();
-      bell->ring();
-      control_bell->ring();
-    }
-    if (!session->wait_all(
-            std::max(2.0, 2.0 * options.lease_timeout_seconds))) {
-      session->kill_all(SIGKILL);
-      session->wait_all(5.0);
-    }
-    report.parallel_time_us = wall.seconds() * 1e6;
-    fill_counters_shm(report);
-    if (tracing) {
-      merge_worker_traces(trace_dir);
-      report.metrics = std::make_shared<obs::MetricsSummary>(
-          obs::derive_metrics(*trace));
-      if (throwaway_trace_dir) {
-        std::error_code ec;
-        std::filesystem::remove_all(trace_dir, ec);
-      }
-    }
-
-    if (proc_failure) {
-      report.failure_kind = FailureKind::kProcFailure;
-      report.failure = proc_failure->summary();
-      report.errors = tp->failure_texts();
-      report.proc_failure = proc_failure;
-      last_report = report;
-      throw_disposition(report);
-    }
-    if (tp->any_failure()) {
-      const std::vector<std::string> texts = tp->failure_texts();
-      report.failure = texts.empty() ? "unknown failure" : texts.front();
-      report.failure_kind = tp->first_failure_kind();
-      report.errors = texts;
-      last_report = report;
-      if (report.failure_kind == FailureKind::kNonExecutable) {
-        report.executable = false;
-        last_report = report;
-        return report;
-      }
-      throw_disposition(report);
-    }
-    if (!clean) {
-      // All children exited without quiescence or any recorded failure —
-      // should be impossible; surface it (with each child's exit status and
-      // last beat) rather than return a bogus clean report.
-      report.failure_kind = FailureKind::kWatchdog;
-      std::string detail = cat("shm run ended without quiescence or a "
-                               "recorded failure (quiescent ",
-                               tp->quiescent_count(), "/", plan.num_procs,
-                               ")");
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        const ShmSession::Child& c = session->child(q);
-        const LightState l = tp->light(q);
-        detail += cat("; p", q, ": ",
-                      c.exited
-                          ? (c.signal != 0 ? cat("signal ", c.signal)
-                                           : cat("exit ", c.exit_code))
-                          : std::string("running"),
-                      " state ", static_cast<int>(l.state), " pos ", l.pos);
-      }
-      report.failure = detail;
-      report.errors.push_back(report.failure);
-      last_report = report;
-      throw_disposition(report);
-    }
-    completed = report.executable;
-    last_report = report;
-    return report;
-  }
 };
 
 ThreadedExecutor::ThreadedExecutor(const RunPlan& plan, const RunConfig& config,
@@ -2086,12 +1938,7 @@ ThreadedExecutor::ThreadedExecutor(const RunPlan& plan, const RunConfig& config,
 
 ThreadedExecutor::~ThreadedExecutor() = default;
 
-RunReport ThreadedExecutor::run() {
-  if (impl_->options.transport == TransportKind::kShm) {
-    return impl_->run_shm();
-  }
-  return impl_->run_inproc();
-}
+RunReport ThreadedExecutor::run() { return impl_->run(); }
 
 std::vector<std::byte> ThreadedExecutor::read_object(DataId d) const {
   const Impl& impl = *impl_;
@@ -2149,33 +1996,12 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
 
   ThreadedExecutor::Impl impl(plan, config, init, body, options);
   impl.reset_run_state();
-  impl.tp = &transport;
-  impl.bell = &transport.data_bell();
-  impl.control_bell = &transport.control_bell();
-  for (ProcId r = 0; r < plan.num_procs; ++r) {
-    impl.win.push_back(transport.window(r));
-  }
   set_log_thread_proc(q);
   try {
-    // MAP engines for every rank (offsets feed the baseline prefill and the
-    // owner tables); the free hook only for the rank whose window this
-    // process owns.
-    for (ProcId r = 0; r < plan.num_procs; ++r) {
-      impl.setup_proc_state(r, /*install_free_hook=*/r == q);
-    }
+    impl.attach(transport, q);
   } catch (const std::exception& e) {
-    transport.report_failure(q, FailureKind::kNonExecutable, e.what());
-    transport.request_abort();
-    transport.data_bell().ring();
-    transport.control_bell().ring();
+    transport.fail_stop(q, FailureKind::kNonExecutable, e.what());
     return kShmWorkerFailed;
-  }
-  impl.setup_epochs_and_baseline();
-  if (impl.tracing) {
-    impl.trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                       impl.priv[q].memory->in_use_bytes());
-    impl.trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                       impl.priv[q].memory->peak_bytes());
   }
   transport.beat(q, static_cast<std::uint8_t>(ProcState::kStart), 0);
 
@@ -2204,25 +2030,8 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
              transport.quiescent_count() < plan.num_procs) {
     rc = kShmWorkerAborted;
   }
-  std::int64_t counters[kNumShmCounters] = {};
-  counters[kCtrContentMessages] = impl.content_messages.load();
-  counters[kCtrContentBytes] = impl.content_bytes.load();
-  counters[kCtrPutBatches] = impl.put_batches.load();
-  counters[kCtrFlagMessages] = impl.flag_messages.load();
-  counters[kCtrAddrPackages] = impl.addr_packages.load();
-  counters[kCtrAddrEntries] = impl.addr_entries.load();
-  counters[kCtrSuspendedSends] = impl.suspended_sends.load();
-  counters[kCtrTasksExecuted] = impl.tasks_executed.load();
-  counters[kCtrNacksSent] = impl.nacks_sent.load();
-  counters[kCtrResends] = impl.resends.load();
-  counters[kCtrFlagResends] = impl.flag_resends.load();
-  counters[kCtrDupSuppressions] = impl.duplicate_suppressions.load();
-  counters[kCtrChecksumRejections] = impl.checksum_rejections.load();
-  counters[kCtrTaskRetries] = impl.task_retries.load();
-  counters[kCtrMaps] = impl.priv[q].maps;
-  counters[kCtrPeakBytes] =
-      impl.priv[q].memory ? impl.priv[q].memory->peak_bytes() : 0;
-  transport.publish_worker_done(q, counters);
+  transport.publish_worker_done(q,
+                                impl.counter_table(q, /*with_shared=*/true));
   if (impl.tracing && spec.trace_dir[0] != '\0') {
     const std::string path =
         cat(spec.trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");
@@ -2236,11 +2045,8 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
   try {
     return inner();
   } catch (const std::exception& e) {
-    transport.report_failure(q, FailureKind::kTaskError,
-                             cat("shm worker p", q, ": ", e.what()));
-    transport.request_abort();
-    transport.data_bell().ring();
-    transport.control_bell().ring();
+    transport.fail_stop(q, FailureKind::kTaskError,
+                        cat("shm worker p", q, ": ", e.what()));
     return kShmWorkerFailed;
   }
 }

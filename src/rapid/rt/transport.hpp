@@ -181,6 +181,14 @@ class Transport {
   /// q < 0). The first report fixes the run's disposition kind.
   virtual void report_failure(ProcId q, FailureKind kind,
                               const std::string& text) = 0;
+  /// Fail-stop: records the failure, requests the abort, and rings both
+  /// bells so parked workers and the monitor observe it.
+  void fail_stop(ProcId q, FailureKind kind, const std::string& text) {
+    report_failure(q, kind, text);
+    request_abort();
+    data_bell().ring();
+    control_bell().ring();
+  }
   virtual bool any_failure() const = 0;
   virtual FailureKind first_failure_kind() const = 0;
   /// All failure texts, first-reported first.

@@ -48,12 +48,7 @@ std::string Flags::get(const std::string& name) const {
 }
 
 std::int64_t Flags::get_int(const std::string& name) const {
-  const std::string v = get(name);
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  RAPID_CHECK(end && *end == '\0' && !v.empty(),
-              cat("--", name, " expects an integer, got '", v, "'"));
-  return out;
+  return parse_int(get(name), cat("--", name));
 }
 
 double Flags::get_double(const std::string& name) const {
@@ -63,6 +58,10 @@ double Flags::get_double(const std::string& name) const {
   RAPID_CHECK(end && *end == '\0' && !v.empty(),
               cat("--", name, " expects a number, got '", v, "'"));
   return out;
+}
+
+bool Flags::defined(const std::string& name) const {
+  return specs_.count(name) != 0;
 }
 
 bool Flags::get_bool(const std::string& name) const {
@@ -75,12 +74,7 @@ bool Flags::get_bool(const std::string& name) const {
 std::vector<std::int64_t> Flags::get_int_list(const std::string& name) const {
   std::vector<std::int64_t> out;
   for (const auto& piece : split(get(name), ',')) {
-    if (piece.empty()) continue;
-    char* end = nullptr;
-    const long long v = std::strtoll(piece.c_str(), &end, 10);
-    RAPID_CHECK(end && *end == '\0',
-                cat("--", name, ": bad list element '", piece, "'"));
-    out.push_back(v);
+    if (!piece.empty()) out.push_back(parse_int(piece, cat("--", name)));
   }
   return out;
 }

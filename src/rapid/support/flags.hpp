@@ -23,6 +23,7 @@ class Flags {
 
   bool help_requested() const { return help_requested_; }
 
+  bool defined(const std::string& name) const;
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;

@@ -1,8 +1,11 @@
 #include "rapid/support/str.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "rapid/support/check.hpp"
 
 namespace rapid {
 
@@ -41,6 +44,18 @@ std::string human_bytes(double bytes) {
     ++unit;
   }
   return fixed(bytes, unit == 0 ? 0 : 2) + " " + kUnits[unit];
+}
+
+std::int64_t parse_int(std::string_view text, std::string_view what,
+                       std::string_view context) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw Error(cat(what, " expects an integer, got \"", text, "\"",
+                    context));
+  }
+  return v;
 }
 
 }  // namespace rapid

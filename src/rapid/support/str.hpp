@@ -1,8 +1,10 @@
 // String formatting helpers shared by logs, error messages and benches.
 #pragma once
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rapid {
@@ -26,5 +28,11 @@ std::vector<std::string> split(const std::string& text, char sep);
 
 /// Human-readable byte count ("1.50 MB").
 std::string human_bytes(double bytes);
+
+/// The one strict base-10 integer parser for outside input: all of `text`,
+/// no trailing characters, no overflow. Otherwise throws rapid::Error with
+/// the plain message `<what> expects an integer, got "<text>"<context>`.
+std::int64_t parse_int(std::string_view text, std::string_view what,
+                       std::string_view context = {});
 
 }  // namespace rapid

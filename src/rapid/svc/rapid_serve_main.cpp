@@ -64,28 +64,29 @@ svc::RunRequest parse_line(const std::string& line) {
                 cat("run line: expected key=value, got \"", token, "\""));
     const std::string key = token.substr(0, eq);
     const std::string val = token.substr(eq + 1);
+    const auto integer = [&] {
+      return parse_int(val, cat("run line: ", key), cat(" in \"", line, "\""));
+    };
     if (key == "capacity") {
-      req.config.capacity_per_proc = std::stoll(val);
+      req.config.capacity_per_proc = integer();
     } else if (key == "deadline_us") {
-      req.deadline_us = std::stoll(val);
+      req.deadline_us = integer();
     } else if (key == "priority") {
-      req.priority = static_cast<std::int32_t>(std::stoll(val));
+      req.priority = static_cast<std::int32_t>(integer());
     } else if (key == "attempts") {
-      req.recovery.max_run_attempts = static_cast<std::int32_t>(
-          std::stoll(val));
+      req.recovery.max_run_attempts = static_cast<std::int32_t>(integer());
     } else if (key == "backoff_us") {
-      req.recovery.restart_backoff_us = std::stoll(val);
+      req.recovery.restart_backoff_us = integer();
     } else if (key == "faults") {
       fault_preset = val;
     } else if (key == "seed") {
-      fault_seed = static_cast<std::uint64_t>(std::stoll(val));
+      fault_seed = static_cast<std::uint64_t>(integer());
     } else if (key == "kernel") {
-      req.config.kernel_dispatch = static_cast<std::int32_t>(
-          std::stoll(val));
+      req.config.kernel_dispatch = static_cast<std::int32_t>(integer());
     } else if (key == "active") {
-      req.config.active_memory = std::stoll(val) != 0;
+      req.config.active_memory = integer() != 0;
     } else if (key == "slab") {
-      req.config.slab_arena = std::stoll(val) != 0;
+      req.config.slab_arena = integer() != 0;
     } else {
       RAPID_FAIL(cat("run line: unknown key \"", key, "\""));
     }

@@ -121,6 +121,28 @@ TEST(CliExitCodes, ServeBadSpecValueRejectsOneRunNotTheBatch) {
   EXPECT_NE(doc.find("\"rejected\": 1,"), std::string::npos) << doc;
 }
 
+TEST(CliExitCodes, ServeMalformedKnobIsAnInfraErrorNamingTheKey) {
+  const std::string bin = binary("src/rapid/svc/rapid_serve");
+  if (bin.empty()) GTEST_SKIP() << "rapid_serve not built";
+  const std::string dir = ::testing::TempDir();
+  for (const std::string value : {"4096x", "abc", "99999999999999999999"}) {
+    const std::string runs = dir + "/serve_bad_knob.runs";
+    const std::string err = dir + "/serve_bad_knob.err";
+    std::ofstream(runs) << "grid:rows=6,cols=6,procs=4 capacity=" << value
+                        << "\n";
+    // A knob that does not parse means the batch never ran.
+    EXPECT_EQ(run("(" + bin + " --runs=" + runs + " 2>" + err + ")"),
+              kExitInfraError)
+        << value;
+    std::ifstream in(err);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("capacity expects an integer, got \"" + value + "\""),
+              std::string::npos)
+        << text;
+  }
+}
+
 TEST(CliExitCodes, EveryOfflineCliAcceptsEverySpec) {
   const std::vector<std::string> specs = {
       "cholesky:grid=6,block=3,procs=2", "lu:grid=6,block=3,procs=2",

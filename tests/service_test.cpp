@@ -121,6 +121,13 @@ TEST(Service, RejectsMalformedSpecValueWithoutSinkingTheBatch) {
   EXPECT_EQ(r.admission.verdict, AdmissionVerdict::kRejected);
   EXPECT_NE(r.reason.find("cholesky:grid=abc"), std::string::npos)
       << r.reason;
+  // Outside input gets a plain message: no source path, no C++ expression.
+  EXPECT_NE(r.reason.find("spec did not build: workload spec: grid expects "
+                          "an integer, got \"abc\""),
+            std::string::npos)
+      << r.reason;
+  EXPECT_EQ(r.reason.find("check failed"), std::string::npos) << r.reason;
+  EXPECT_EQ(r.reason.find(".cpp:"), std::string::npos) << r.reason;
   EXPECT_EQ(service.wait(good).state, RunState::kCompleted);
   const ServiceReport report = service.report();
   EXPECT_EQ(report.rejected, 1);

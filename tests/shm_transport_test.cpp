@@ -10,6 +10,7 @@
 // The CI shm lane runs this file under Release and ASan instead.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include "rapid/rt/recovery.hpp"
 #include "rapid/rt/shm_transport.hpp"
 #include "rapid/rt/sim_executor.hpp"
+#include "rapid/rt/stall.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/support/stopwatch.hpp"
@@ -434,6 +436,110 @@ TEST(ShmLease, StoppedWorkersLapseAndFailStop) {
   int status = 0;
   ::waitpid(watcher, &status, 0);
 }
+
+// ---- one progress monitor, both transports ---------------------------------
+
+// The stall, deadlock, watchdog and cancel rules belong to the one monitor,
+// not to a backend: each case runs on threads and on forked processes and
+// must end in the same error, failure kind and headline.
+class MonitorTransport : public ::testing::TestWithParam<TransportKind> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == TransportKind::kShm) RAPID_SKIP_UNDER_TSAN();
+  }
+
+  ThreadedOptions options() const {
+    ThreadedOptions o;
+    o.transport = GetParam();
+    return o;
+  }
+
+  /// A body whose first task in each process blocks for `stall` seconds:
+  /// in-process that holds one rank inside EXE, on shm the first task of
+  /// every rank (each forked worker has its own flag).
+  static TaskBody stalling_body(const CounterApp& app, double stall) {
+    auto stalled = std::make_shared<std::atomic<bool>>(false);
+    const TaskBody base = app.make_body();
+    return [stalled, base, stall](graph::TaskId t, ObjectResolver& r) {
+      if (!stalled->exchange(true)) {
+        ::usleep(static_cast<useconds_t>(stall * 1e6));
+      }
+      base(t, r);
+    };
+  }
+};
+
+TEST_P(MonitorTransport, WatchdogHeadlineStatesOneDuration) {
+  CounterApp app(2);
+  ThreadedOptions opts = options();
+  opts.watchdog_seconds = 0.2;
+  ThreadedExecutor exec(app.plan, app.config(1 << 16), app.make_init(),
+                        stalling_body(app, 1.5), opts);
+  try {
+    exec.run();
+    ADD_FAILURE() << "the watchdog did not fire";
+  } catch (const ProtocolDeadlockError& e) {
+    const std::string what = e.what();
+    const std::string phrase = "no protocol progress for";
+    const std::size_t first = what.find(phrase);
+    ASSERT_NE(first, std::string::npos) << what;
+    EXPECT_EQ(what.find(phrase, first + 1), std::string::npos) << what;
+    EXPECT_EQ(what.rfind("watchdog: ", 0), 0u) << what;
+    EXPECT_NE(e.report(), nullptr);
+  }
+  EXPECT_EQ(exec.last_report().failure_kind, FailureKind::kWatchdog);
+}
+
+TEST_P(MonitorTransport, DisabledRecoveryDeadlockFailsFailStop) {
+  constexpr int kProcs = 4;
+  CounterApp app(kProcs);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  ThreadedOptions opts = options();  // retry.max_attempts == 0
+  opts.faults.drop_addr_src = 0;
+  opts.faults.drop_addr_nth = 1;
+  ThreadedExecutor exec(app.plan, app.config(liveness.min_mem()),
+                        app.make_init(), app.make_body(), opts);
+  Stopwatch elapsed;
+  try {
+    exec.run();
+    ADD_FAILURE() << "a dropped address package must deadlock the run";
+  } catch (const ProtocolDeadlockError& e) {
+    EXPECT_LT(elapsed.seconds(), 15.0);  // diagnosed, not the watchdog
+    ASSERT_NE(e.report(), nullptr) << e.what();
+    EXPECT_TRUE(e.report()->genuine_deadlock) << e.what();
+    EXPECT_EQ(std::string(e.what()).rfind("protocol deadlock: ", 0), 0u)
+        << e.what();
+  }
+  EXPECT_EQ(exec.last_report().failure_kind, FailureKind::kDeadlock);
+}
+
+TEST_P(MonitorTransport, AttemptDeadlineCancelsTheRun) {
+  CounterApp app(2);
+  ThreadedOptions opts = options();
+  opts.attempt_deadline_us = 100'000;
+  ThreadedExecutor exec(app.plan, app.config(1 << 16), app.make_init(),
+                        stalling_body(app, 1.0), opts);
+  Stopwatch elapsed;
+  try {
+    exec.run();
+    ADD_FAILURE() << "the attempt deadline did not cancel the run";
+  } catch (const RunCancelledError& e) {
+    EXPECT_NE(std::string(e.what()).find("attempt deadline"),
+              std::string::npos)
+        << e.what();
+    ASSERT_NE(e.partial(), nullptr);
+    EXPECT_EQ(e.partial()->failure_kind, FailureKind::kCancelled);
+  }
+  EXPECT_LT(elapsed.seconds(), 15.0);
+  EXPECT_EQ(exec.last_report().failure_kind, FailureKind::kCancelled);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, MonitorTransport,
+    ::testing::Values(TransportKind::kInProc, TransportKind::kShm),
+    [](const ::testing::TestParamInfo<TransportKind>& info) {
+      return to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace rapid::rt

@@ -16,6 +16,7 @@
 #include "rapid/num/dispatch.hpp"
 #include "rapid/obs/metrics.hpp"
 #include "rapid/obs/trace.hpp"
+#include "rapid/rt/map_engine.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/rt/transport.hpp"
 #include "rapid/support/exit_codes.hpp"
@@ -269,21 +270,19 @@ int main(int argc, char** argv) {
           run_threaded(inst, plan, tot, false, repeats, {}, checksum,
                        /*recovery=*/false, /*traced=*/false, slab, transport);
       // Fragmentation and 8-byte alignment put the practical floor above
-      // MIN_MEM; escalate the capacity fraction until the run executes.
-      double used_frac = frac;
-      std::int64_t active_cap = 0;
-      RunStats act;
-      for (;; used_frac += 0.1) {
-        active_cap = std::max(
-            min, static_cast<std::int64_t>(used_frac * static_cast<double>(tot)));
-        act = run_threaded(inst, plan, active_cap, true, repeats, faults,
-                           checksum, /*recovery=*/false, /*traced=*/false,
-                           slab, transport);
-        if (act.report.executable) break;
-        RAPID_CHECK(used_frac < 1.5,
-                    cat("active run never became executable: ",
-                        act.report.failure));
-      }
+      // MIN_MEM: run at the first capacity fraction the MAP replay admits.
+      rt::ReplayOptions ropt;
+      ropt.alignment = 8;  // the threaded executor's arenas
+      ropt.slab = slab;
+      const std::int64_t active_cap =
+          rt::first_executable_capacity(plan, min, tot, frac, ropt);
+      const RunStats act =
+          run_threaded(inst, plan, active_cap, true, repeats, faults,
+                       checksum, /*recovery=*/false, /*traced=*/false, slab,
+                       transport);
+      RAPID_CHECK(act.report.executable,
+                  cat("active run not executable at capacity ", active_cap,
+                      ": ", act.report.failure));
 
       RunStats rec;
       if (recovery) {

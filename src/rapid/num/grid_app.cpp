@@ -7,6 +7,7 @@
 
 #include "rapid/support/check.hpp"
 #include "rapid/support/rng.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid::num {
 
@@ -22,7 +23,7 @@ GridIntApp GridIntApp::build(int rows, int cols, int num_procs,
   for (int i = 0; i < rows; ++i) {
     for (int j = 0; j < cols; ++j) {
       app.objects_.push_back(app.graph_.add_data(
-          "g(" + std::to_string(i) + "," + std::to_string(j) + ")", 8,
+          cat("g(", i, ",", j, ")"), 8,
           static_cast<graph::ProcId>((i * cols + j) % num_procs)));
     }
   }
@@ -30,15 +31,13 @@ GridIntApp GridIntApp::build(int rows, int cols, int num_procs,
     for (int j = 0; j < cols; ++j) {
       const graph::DataId d = app.at(i, j);
       if (i == 0) {
-        app.graph_.add_task("P" + std::to_string(j), {}, {d}, 1.0);
+        app.graph_.add_task(cat("P", j), {}, {d}, 1.0);
       } else {
         app.graph_.add_task(
-            "S(" + std::to_string(i) + "," + std::to_string(j) + ")",
+            cat("S(", i, ",", j, ")"),
             {app.at(i - 1, j), app.at(i - 1, (j + 1) % cols)}, {d}, 1.0);
       }
-      app.graph_.add_task(
-          "D(" + std::to_string(i) + "," + std::to_string(j) + ")", {d}, {d},
-          1.0);
+      app.graph_.add_task(cat("D(", i, ",", j, ")"), {d}, {d}, 1.0);
     }
   }
   app.graph_.finalize();

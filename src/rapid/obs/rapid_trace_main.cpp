@@ -26,6 +26,7 @@
 #include "rapid/obs/telemetry.hpp"
 #include "rapid/obs/timeline.hpp"
 #include "rapid/obs/trace.hpp"
+#include "rapid/rt/map_engine.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/support/exit_codes.hpp"
@@ -123,32 +124,28 @@ int trace_one(const std::string& spec, const Flags& flags,
       static_cast<std::int32_t>(flags.get_int("events"));
 
   // First-fit fragmentation and alignment put the practical floor above
-  // MIN_MEM; escalate the fraction until the run executes (same policy as
-  // bench_executor).
-  std::unique_ptr<obs::Trace> trace;
+  // MIN_MEM: run at the first capacity fraction the MAP replay admits
+  // (same policy as rapid_check and bench_executor).
+  rt::ReplayOptions ropt;
+  ropt.alignment = threaded ? 8 : 1;
+  const std::int64_t capacity = rt::first_executable_capacity(
+      plan, min + min / 8, tot, flags.get_double("frac"), ropt);
+  const auto trace = std::make_unique<obs::Trace>(procs, tcfg);
   rt::RunReport report;
-  std::int64_t capacity = 0;
-  for (double frac = flags.get_double("frac");; frac += 0.1) {
-    capacity = std::max(min + min / 8,
-                        static_cast<std::int64_t>(
-                            frac * static_cast<double>(tot)));
-    trace = std::make_unique<obs::Trace>(procs, tcfg);
-    rt::RunConfig config;
-    config.params = params;
-    config.capacity_per_proc = capacity;
-    if (threaded) {
-      rt::ThreadedOptions options;
-      options.trace = trace.get();
-      rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
-                                w->app->make_body(), options);
-      report = exec.run();
-    } else {
-      report = rt::simulate(plan, config, trace.get());
-    }
-    if (report.executable) break;
-    RAPID_CHECK(frac < 1.5, cat("run never became executable: ",
-                                report.failure));
+  rt::RunConfig config;
+  config.params = params;
+  config.capacity_per_proc = capacity;
+  if (threaded) {
+    rt::ThreadedOptions options;
+    options.trace = trace.get();
+    rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
+                              w->app->make_body(), options);
+    report = exec.run();
+  } else {
+    report = rt::simulate(plan, config, trace.get());
   }
+  RAPID_CHECK(report.executable, cat("run not executable at capacity ",
+                                     capacity, ": ", report.failure));
 
   const obs::OccupancyProfile occ = obs::build_occupancy(*trace);
   const std::vector<std::string> findings = check_trace(*trace, occ, report);

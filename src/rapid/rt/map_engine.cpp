@@ -248,4 +248,20 @@ MapReplay replay_maps(const RunPlan& plan, ProcId proc,
   return out;
 }
 
+std::int64_t first_executable_capacity(const RunPlan& plan, std::int64_t floor,
+                                       std::int64_t tot, double start_frac,
+                                       ReplayOptions options) {
+  for (double frac = start_frac;; frac += 0.1) {
+    options.capacity = std::max(
+        floor, static_cast<std::int64_t>(frac * static_cast<double>(tot)));
+    std::optional<std::string> failure;
+    for (ProcId q = 0; q < plan.num_procs && !failure; ++q) {
+      const MapReplay replay = replay_maps(plan, q, options);
+      if (!replay.ok()) failure = replay.failure.message;
+    }
+    if (!failure) return options.capacity;
+    RAPID_CHECK(frac < 1.5, cat("run never became executable: ", *failure));
+  }
+}
+
 }  // namespace rapid::rt

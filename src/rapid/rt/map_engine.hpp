@@ -184,4 +184,11 @@ struct MapReplay {
 MapReplay replay_maps(const RunPlan& plan, ProcId proc,
                       const ReplayOptions& options);
 
+/// The first max(floor, frac · tot), frac = start_frac + 0.1 k, at which
+/// replay_maps succeeds on every processor: the executors drive the same
+/// ProcMemory, so a run there executes. Throws once a failing frac >= 1.5.
+std::int64_t first_executable_capacity(const RunPlan& plan, std::int64_t floor,
+                                       std::int64_t tot, double start_frac,
+                                       ReplayOptions options);
+
 }  // namespace rapid::rt

@@ -32,6 +32,25 @@ void RecoveryCounters::merge(const RecoveryCounters& other) {
   task_retries += other.task_retries;
 }
 
+void add_counters(RunReport& report, graph::ProcId q, const CounterTable& c) {
+  report.maps_per_proc[q] = static_cast<std::int32_t>(c[kCtrMaps]);
+  report.peak_bytes_per_proc[q] = c[kCtrPeakBytes];
+  report.content_messages += c[kCtrContentMessages];
+  report.content_bytes += c[kCtrContentBytes];
+  report.put_batches += c[kCtrPutBatches];
+  report.flag_messages += c[kCtrFlagMessages];
+  report.addr_packages += c[kCtrAddrPackages];
+  report.addr_entries += c[kCtrAddrEntries];
+  report.suspended_sends += c[kCtrSuspendedSends];
+  report.tasks_executed += c[kCtrTasksExecuted];
+  report.recovery.nacks_sent += c[kCtrNacksSent];
+  report.recovery.resends += c[kCtrResends];
+  report.recovery.flag_resends += c[kCtrFlagResends];
+  report.recovery.duplicate_suppressions += c[kCtrDupSuppressions];
+  report.recovery.checksum_rejections += c[kCtrChecksumRejections];
+  report.recovery.task_retries += c[kCtrTaskRetries];
+}
+
 double RunReport::avg_maps() const {
   if (maps_per_proc.empty()) return 0.0;
   double total = 0.0;

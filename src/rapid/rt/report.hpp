@@ -1,12 +1,14 @@
 // Run configuration and result reporting shared by both executors.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "rapid/graph/ids.hpp"
 #include "rapid/machine/params.hpp"
 #include "rapid/mem/arena.hpp"
 #include "rapid/support/check.hpp"
@@ -237,5 +239,24 @@ struct RunReport {
   /// disposition.
   JsonValue to_json() const;
 };
+
+/// One rank's protocol counters: RankProtocol's table, as an shm worker
+/// also publishes it at exit.
+enum Counter : std::int32_t {
+  // Run totals.
+  kCtrContentMessages, kCtrContentBytes, kCtrPutBatches, kCtrFlagMessages,
+  kCtrAddrPackages, kCtrAddrEntries, kCtrSuspendedSends, kCtrTasksExecuted,
+  // RecoveryCounters.
+  kCtrNacksSent, kCtrResends, kCtrFlagResends, kCtrDupSuppressions,
+  kCtrChecksumRejections, kCtrTaskRetries,
+  // Per rank.
+  kCtrMaps, kCtrPeakBytes,
+  kNumCounters
+};
+using CounterTable = std::array<std::int64_t, kNumCounters>;
+
+/// The one counter read-out of every executor: rank q's MAP count and heap
+/// peak into q's slots, everything else into the run totals.
+void add_counters(RunReport& report, graph::ProcId q, const CounterTable& c);
 
 }  // namespace rapid::rt

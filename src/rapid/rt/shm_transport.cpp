@@ -66,7 +66,7 @@ struct alignas(64) ShmRankCtl {
   std::atomic<std::int32_t> wait_retries;
   std::atomic<std::uint8_t> wait_exhausted;
   char error_text[448];
-  std::atomic<std::int64_t> counters[kNumShmCounters];
+  std::atomic<std::int64_t> counters[kNumCounters];
   /// Running recovery totals mirrored by the worker mid-run (the
   /// `counters` slots above are end-of-run, published with done). Read by
   /// the cross-process telemetry sampler; relaxed is fine, they are
@@ -263,7 +263,7 @@ ShmTransport::ShmTransport(ShmSegment seg, ProcId rank)
   ShmHeader* hdr = reinterpret_cast<ShmHeader*>(seg_.data());
   l_ = std::make_unique<Layout>(Layout::compute(
       seg_.data(), hdr->num_procs, hdr->num_data, hdr->num_tasks,
-      hdr->heap_bytes, hdr->spec.mailbox_slots));
+      hdr->heap_bytes, hdr->spec.config.mailbox_slots));
   data_bell_ = std::make_unique<FutexBell>(&l_->hdr->data_bell);
   control_bell_ = std::make_unique<FutexBell>(&l_->hdr->control_bell);
 }
@@ -277,7 +277,7 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
               "shm transport: bad dims");
   const Layout sizing =
       Layout::compute(nullptr, dims.num_procs, dims.num_data, dims.num_tasks,
-                      dims.heap_bytes, spec.mailbox_slots);
+                      dims.heap_bytes, spec.config.mailbox_slots);
   ShmSegment seg = ShmSegment::create(name, sizing.total_bytes);
   std::byte* base = seg.data();
 
@@ -300,7 +300,7 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
 
   const Layout l = Layout::compute(base, dims.num_procs, dims.num_data,
                                    dims.num_tasks, dims.heap_bytes,
-                                   spec.mailbox_slots);
+                                   spec.config.mailbox_slots);
   for (std::int32_t q = 0; q <= l.p; ++q) new (&l.ctl[q]) ShmRankCtl{};
   for (std::int64_t i = 0; i < l.p * l.num_data; ++i) {
     new (&l.versions[i]) std::atomic<std::int32_t>{-1};
@@ -564,9 +564,9 @@ LightState ShmTransport::light(ProcId q) const {
 }
 
 void ShmTransport::publish_worker_done(ProcId q,
-                                       const ShmCounters& counters) {
+                                       const CounterTable& counters) {
   ShmRankCtl& c = l_->ctl[q];
-  for (std::int32_t i = 0; i < kNumShmCounters; ++i) {
+  for (std::int32_t i = 0; i < kNumCounters; ++i) {
     c.counters[i].store(counters[i], std::memory_order_relaxed);
   }
   c.done.store(1, std::memory_order_release);
@@ -576,9 +576,9 @@ bool ShmTransport::worker_done(ProcId q) const {
   return l_->ctl[q].done.load(std::memory_order_acquire) != 0;
 }
 
-ShmCounters ShmTransport::worker_counters(ProcId q) const {
-  ShmCounters out{};
-  for (std::int32_t i = 0; i < kNumShmCounters; ++i) {
+CounterTable ShmTransport::worker_counters(ProcId q) const {
+  CounterTable out{};
+  for (std::int32_t i = 0; i < kNumCounters; ++i) {
     out[i] = l_->ctl[q].counters[i].load(std::memory_order_acquire);
   }
   return out;

@@ -23,7 +23,6 @@
 // kShmWorkerClean / kShmWorkerAborted / kShmWorkerFailed.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -51,14 +50,7 @@ inline constexpr int kShmWorkerFailed = 30;
 /// worker — forked or exec'd — executes under the exact same configuration
 /// it planned with.
 struct ShmRunSpec {
-  // RunConfig scalars.
-  std::int64_t capacity_per_proc = 0;
-  std::uint8_t active_memory = 1;
-  std::uint8_t alloc_policy = 0;  // mem::AllocPolicy
-  std::uint8_t slab_arena = 0;
-  std::int32_t mailbox_slots = 1;
-  /// RunConfig::kernel_dispatch (-1 = inherit the process-global level).
-  std::int32_t kernel_dispatch = -1;
+  RunConfig config;  // trivially copyable
   /// ThreadedOptions::run_id for worker log tags (-1 = standalone run).
   std::int64_t run_id = -1;
   // ThreadedOptions scalars.
@@ -85,30 +77,6 @@ struct ShmRunSpec {
   std::uint64_t plan_fingerprint = 0;
 };
 static_assert(std::is_trivially_copyable_v<ShmRunSpec>);
-
-/// Per-rank end-of-run counter slots (ShmRankCtl::counters indices).
-enum ShmCounter : std::int32_t {
-  kCtrContentMessages = 0,
-  kCtrContentBytes,
-  kCtrPutBatches,
-  kCtrFlagMessages,
-  kCtrAddrPackages,
-  kCtrAddrEntries,
-  kCtrSuspendedSends,
-  kCtrTasksExecuted,
-  kCtrNacksSent,
-  kCtrResends,
-  kCtrFlagResends,
-  kCtrDupSuppressions,
-  kCtrChecksumRejections,
-  kCtrTaskRetries,
-  kCtrMaps,
-  kCtrPeakBytes,
-  kNumShmCounters,
-};
-
-/// One counter table: a rank's end-of-run counters, indexed by ShmCounter.
-using ShmCounters = std::array<std::int64_t, kNumShmCounters>;
 
 /// Cheap fingerprint of a plan's shape (dims + schedule order), enough to
 /// catch an exec-mode worker that rebuilt a different plan.
@@ -186,9 +154,9 @@ class ShmTransport final : public Transport {
   // Worker/coordinator extras --------------------------------------------
   /// Worker at clean end: stores its counter slots and raises done
   /// (release) so the coordinator's sums are exact.
-  void publish_worker_done(ProcId q, const ShmCounters& counters);
+  void publish_worker_done(ProcId q, const CounterTable& counters);
   bool worker_done(ProcId q) const;
-  ShmCounters worker_counters(ProcId q) const;
+  CounterTable worker_counters(ProcId q) const;
   /// Lease age in seconds (now - last beat); a huge value before the first
   /// beat so "never attached" reads as lapsed once the grace period ends.
   double lease_age_seconds(ProcId q) const;

@@ -6,8 +6,8 @@
 // shared memory), and runs the standard worker loop. Exit codes are the
 // kShmWorker* constants; anything else — or a signal — is classified by the
 // coordinator as a process failure.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -28,21 +28,26 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace rapid;
   std::string segment;
-  long rank = -1;
+  std::int64_t rank = -1;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--segment=", 10) == 0) {
       segment = a + 10;
     } else if (std::strncmp(a, "--rank=", 7) == 0) {
-      rank = std::strtol(a + 7, nullptr, 10);
+      try {
+        rank = parse_int(a + 7, "--rank");
+      } catch (const Error& e) {
+        std::fprintf(stderr, "rapid_shm_worker: %s\n", e.what());
+        return usage(argv[0]);
+      }
     } else {
       return usage(argv[0]);
     }
   }
-  if (segment.empty() || rank < 0) return usage(argv[0]);
+  if (segment.empty() || rank < 0 || rank > INT32_MAX) return usage(argv[0]);
 
-  using namespace rapid;
   int rc = rt::kShmWorkerFailed;
   try {
     auto tp = rt::ShmTransport::attach(segment,

@@ -1,16 +1,12 @@
 #include "rapid/rt/sim_executor.hpp"
 
 #include <deque>
-#include <map>
-#include <memory>
-#include <optional>
-#include <set>
 #include <unordered_set>
 
 #include "rapid/machine/event_queue.hpp"
 #include "rapid/obs/metrics.hpp"
 #include "rapid/obs/trace.hpp"
-#include "rapid/rt/map_engine.hpp"
+#include "rapid/rt/rank_protocol.hpp"
 #include "rapid/support/str.hpp"
 #include "rapid/verify/auditor.hpp"
 
@@ -28,42 +24,13 @@ class Simulator {
         params_(config.params),
         trace_(trace),
         tracing_(trace != nullptr && trace->enabled()) {
-    const auto p = static_cast<std::size_t>(plan.num_procs);
-    procs_.resize(p);
-    epoch_remaining_.resize(static_cast<std::size_t>(plan.graph->num_data()));
-    current_version_.assign(static_cast<std::size_t>(plan.graph->num_data()),
-                            0);
-    for (DataId d = 0; d < plan.graph->num_data(); ++d) {
-      const ObjectPlan& obj = plan.objects[d];
-      epoch_remaining_[d].resize(obj.epochs.size());
-      for (std::size_t v = 0; v < obj.epochs.size(); ++v) {
-        epoch_remaining_[d][v] =
-            static_cast<std::int32_t>(obj.epochs[v].size());
-      }
-    }
+    procs_.reserve(static_cast<std::size_t>(plan.num_procs));
     for (ProcId q = 0; q < plan.num_procs; ++q) {
-      ProcState& ps = procs_[q];
-      ps.memory = std::make_unique<ProcMemory>(plan, q,
-                                               config.capacity_per_proc,
-                                               /*alignment=*/1,
-                                               config.alloc_policy,
-                                               config.slab_arena);
-      ps.received_version.assign(
-          static_cast<std::size_t>(plan.graph->num_data()), -1);
-      ps.received_seq.assign(
-          static_cast<std::size_t>(plan.graph->num_data()), 0);
-      ps.mailbox_in_flight.assign(p, 0);
-      ps.pkg_seq_sent.assign(p, 0);
-      if (!config.active_memory) {
-        ps.memory->preallocate_all();
-        // Baseline: every reader address is known from the start.
-        for (DataId d = 0; d < plan.graph->num_data(); ++d) {
-          if (plan.graph->data(d).owner != q) continue;
-          for (const auto& dests : plan.objects[d].sends_by_version) {
-            for (ProcId dest : dests) ps.known_addrs.emplace(d, dest);
-          }
-        }
-      }
+      procs_.emplace_back(plan, q, config);
+    }
+    if (!config.active_memory) {
+      share_baseline_addresses(
+          plan, [this](ProcId r) -> RankProtocol& { return procs_[r].proto; });
     }
   }
 
@@ -78,9 +45,9 @@ class Simulator {
         // Baseline heap samples at t=0 (permanents, plus all volatiles in
         // baseline mode).
         record(q, 0.0, obs::EventKind::kHeapSample, 0, 0, 0,
-               procs_[q].memory->in_use_bytes());
+               procs_[q].proto.memory().in_use_bytes());
         record(q, 0.0, obs::EventKind::kHeapPeak, 0, 0, 0,
-               procs_[q].memory->peak_bytes());
+               procs_[q].proto.memory().peak_bytes());
         dispatch_sends(q, plan_.procs[q].initial_sends);
         queue_.schedule_at(0.0, [this, q] { advance(q); });
       }
@@ -91,8 +58,7 @@ class Simulator {
       report.failure = e.what();
     }
     for (ProcId q = 0; q < plan_.num_procs; ++q) {
-      report.maps_per_proc[q] = procs_[q].maps;
-      report.peak_bytes_per_proc[q] = procs_[q].memory->peak_bytes();
+      add_counters(report, q, procs_[q].proto.counters());
     }
     if (tracing_) {
       report.metrics = std::make_shared<obs::MetricsSummary>(
@@ -102,36 +68,31 @@ class Simulator {
   }
 
  private:
+  /// What the simulator adds to a rank's protocol core: modeled busy time,
+  /// arrivals, and mailbox slot occupancy.
   struct ProcState {
-    std::unique_ptr<ProcMemory> memory;
-    std::int32_t pos = 0;
+    ProcState(const RunPlan& plan, ProcId q, const RunConfig& config)
+        : proto(plan, q, config, /*alignment=*/1),
+          received_version(static_cast<std::size_t>(plan.graph->num_data()),
+                           -1),
+          received_seq(static_cast<std::size_t>(plan.graph->num_data()), 0),
+          mailbox_in_flight(static_cast<std::size_t>(plan.num_procs), 0) {}
+
+    RankProtocol proto;
     SimTime busy_until = 0.0;
     bool executing = false;
     bool in_map = false;
-    std::int32_t maps = 0;
 
     std::vector<std::int32_t> received_version;  // per object, -1 = nothing
-    /// Reader-side put sequence per object (mirrors the threaded executor's
-    /// Shared::put_seq so both executors stamp the same conformance plane).
+    /// Highest put sequence arrived per object: the stamp of kConsume.
     std::vector<std::uint32_t> received_seq;
-    /// Owner-side put sequence per (owned object, reader), keyed the same
-    /// way as known_addrs. The simulator never retransmits, so these only
-    /// ever reach 1 — but the checker reconciles stamps, not assumptions.
-    std::map<std::pair<DataId, ProcId>, std::uint32_t> sent_seq;
     std::unordered_set<TaskId> flags_received;
     std::vector<std::int32_t> mailbox_in_flight;  // per source proc
-    /// 1-based address-package sequence per destination (mirrors the
-    /// threaded executor's per-pair stamps; the conformance checker uses
-    /// them to verify duplicate suppression).
-    std::vector<std::uint32_t> pkg_seq_sent;
-    std::set<std::pair<DataId, ProcId>> known_addrs;  // owner side
-    std::deque<ContentSend> suspended;
     std::deque<std::pair<ProcId, AddrPackage>> pending_packages;
     // Delivered address packages not yet consumed: RA runs only at state
     // transitions (paper Figure 3(b)), never mid-task — this is where the
     // scheme's real stalls come from.
     std::deque<std::pair<ProcId, AddrPackage>> inbox;
-    std::uint8_t traced_state = 255;  // change-only state recording
   };
 
   /// Modeled-time event recording: SimTime is µs, trace timestamps are ns.
@@ -144,15 +105,9 @@ class Simulator {
   }
 
   void trace_state(ProcId q, obs::ProtoState s, SimTime t) {
-    if (!tracing_) return;
-    ProcState& ps = procs_[q];
-    if (ps.traced_state == static_cast<std::uint8_t>(s)) return;
-    ps.traced_state = static_cast<std::uint8_t>(s);
-    record(q, t, obs::EventKind::kStateEnter, static_cast<std::int32_t>(s));
-  }
-
-  std::int32_t num_tasks_of(ProcId q) const {
-    return static_cast<std::int32_t>(plan_.procs[q].order.size());
+    if (tracing_ && procs_[q].proto.enter(s)) {
+      record(q, t, obs::EventKind::kStateEnter, static_cast<std::int32_t>(s));
+    }
   }
 
   bool task_ready(ProcId q, TaskId t) const {
@@ -181,12 +136,12 @@ class Simulator {
       return;
     }
     // MAP state: start one, or continue draining its address packages.
-    if (config_.active_memory && (ps.in_map || ps.memory->needs_map(ps.pos))) {
+    if (ps.in_map || ps.proto.needs_map()) {
       if (!ps.in_map) {
+        const std::int32_t pos = ps.proto.pos();
         trace_state(q, obs::ProtoState::kMap, queue_.now());
-        record(q, queue_.now(), obs::EventKind::kMapBegin, ps.pos);
-        const MapResult map = ps.memory->perform_map(ps.pos);  // may throw
-        ++ps.maps;
+        record(q, queue_.now(), obs::EventKind::kMapBegin, pos);
+        const MapResult map = ps.proto.perform_map();  // may throw
         const double cost =
             params_.map_base_us +
             params_.map_per_object_us *
@@ -202,11 +157,11 @@ class Simulator {
             record(q, queue_.now(), obs::EventKind::kMapAlloc, d, 0, 0,
                    plan_.graph->data(d).size_bytes);
           }
-          record(q, ps.busy_until, obs::EventKind::kMapEnd, ps.pos);
+          record(q, ps.busy_until, obs::EventKind::kMapEnd, pos);
           record(q, ps.busy_until, obs::EventKind::kHeapSample, 0, 0, 0,
-                 ps.memory->in_use_bytes());
+                 ps.proto.memory().in_use_bytes());
           record(q, ps.busy_until, obs::EventKind::kHeapPeak, 0, 0, 0,
-                 ps.memory->peak_bytes());
+                 ps.proto.memory().peak_bytes());
         }
         for (auto& pkg : map.packages) ps.pending_packages.push_back(pkg);
         ps.in_map = true;
@@ -230,11 +185,11 @@ class Simulator {
         return;
       }
     }
-    if (ps.pos >= num_tasks_of(q)) {  // END: passive, CQ event-driven
+    if (ps.proto.finished()) {  // END: passive, CQ event-driven
       trace_state(q, obs::ProtoState::kEnd, queue_.now());
       return;
     }
-    const TaskId t = plan_.procs[q].order[ps.pos];
+    const TaskId t = ps.proto.current_task();
     trace_state(q, obs::ProtoState::kRec, queue_.now());
     if (!task_ready(q, t)) return;  // REC: woken by arrivals
     // EXE.
@@ -256,10 +211,8 @@ class Simulator {
 
   void complete_task(ProcId q) {
     ProcState& ps = procs_[q];
-    const TaskId t = plan_.procs[q].order[ps.pos];
+    const TaskId t = ps.proto.current_task();
     ps.executing = false;
-    ++ps.pos;
-    ++report_->tasks_executed;
     record(q, queue_.now(), obs::EventKind::kTaskEnd, t);
     trace_state(q, obs::ProtoState::kSnd, queue_.now());
     const TaskRuntimePlan& tp = plan_.tasks[t];
@@ -268,7 +221,7 @@ class Simulator {
     for (ProcId dest : tp.flag_dests) {
       ps.busy_until += params_.send_overhead_us(8);
       report_->send_us += params_.send_overhead_us(8);
-      ++report_->flag_messages;
+      ps.proto.count(kCtrFlagMessages);
       record(q, ps.busy_until, obs::EventKind::kFlagSend, t, 0, dest);
       const SimTime arrive = ps.busy_until + params_.rma_latency_us;
       queue_.schedule_at(arrive, [this, dest, t] {
@@ -276,104 +229,70 @@ class Simulator {
         wake(dest);
       });
     }
-    // Epoch countdown; completed versions trigger content sends, routed
-    // together so same-destination puts count as one coalesced batch.
-    std::vector<ContentSend> sends;
-    for (const auto& [d, v] : tp.epoch_memberships) {
-      if (--epoch_remaining_[d][static_cast<std::size_t>(v) - 1] == 0) {
-        RAPID_CHECK(current_version_[d] == v - 1,
-                    "object versions completed out of order");
-        current_version_[d] = v;
-        for (ProcId dest :
-             plan_.objects[d].sends_by_version[static_cast<std::size_t>(v)]) {
-          sends.push_back(ContentSend{d, v, dest});
-        }
-      }
-    }
-    dispatch_sends(q, sends);
+    // Completed versions trigger content sends.
+    dispatch_sends(q, ps.proto.finish_task());
     queue_.schedule_at(std::max(queue_.now(), ps.busy_until),
                        [this, q] { advance(q); });
   }
 
-  /// Returns whether the send was transmitted (false: suspended on a
-  /// missing address).
-  bool trigger_send(ProcId q, const ContentSend& s) {
-    ProcState& ps = procs_[q];
-    if (config_.active_memory) {
-      // Address-table lookup + suspended-queue bookkeeping per message.
-      ps.busy_until =
-          std::max(queue_.now(), ps.busy_until) + params_.addr_lookup_us;
-      report_->map_us += params_.addr_lookup_us;
+  /// Routes a SND state's sends. With active memory every send first
+  /// costs an address-table lookup: each put right before it goes out, each
+  /// suspended send after the batches.
+  void dispatch_sends(ProcId q, std::span<const ContentSend> sends) {
+    RankProtocol& proto = procs_[q].proto;
+    const std::int64_t suspended_before = proto.counter(kCtrSuspendedSends);
+    proto.route(sends, [this, q](ProcId, std::span<const ContentSend> b) {
+      for (const ContentSend& s : b) {
+        charge_lookup(q);
+        transmit(q, s);
+      }
+    });
+    for (std::int64_t i = suspended_before;
+         i < proto.counter(kCtrSuspendedSends); ++i) {
+      charge_lookup(q);
     }
-    if (!ps.known_addrs.count({s.object, s.dest})) {
-      RAPID_CHECK(config_.active_memory,
-                  "baseline mode must know every address");
-      ps.suspended.push_back(s);
-      ++report_->suspended_sends;
-      return false;
-    }
-    transmit(q, s);
-    return true;
   }
 
-  /// Counter-plane mirror of the threaded executor's put coalescing: sends
-  /// dispatched together to the same destination count as one put batch.
-  /// The cost model still charges per message — only the batch counter is
-  /// mirrored. Batch composition differs across the executors (suspension
-  /// and wake timing differ), so the conformance plane reconciles messages
-  /// and sequence stamps, never batches.
-  void dispatch_sends(ProcId q, const std::vector<ContentSend>& sends) {
-    std::set<ProcId> dests;
-    for (const ContentSend& s : sends) {
-      if (trigger_send(q, s)) dests.insert(s.dest);
-    }
-    report_->put_batches += static_cast<std::int64_t>(dests.size());
+  void charge_lookup(ProcId q) {
+    if (!config_.active_memory) return;
+    ProcState& ps = procs_[q];
+    ps.busy_until =
+        std::max(queue_.now(), ps.busy_until) + params_.addr_lookup_us;
+    report_->map_us += params_.addr_lookup_us;
   }
 
   void transmit(ProcId q, const ContentSend& s) {
-    // Data consistency (Theorem 1): a suspended message can never be
-    // overtaken by a later write of the same object.
-    RAPID_CHECK(current_version_[s.object] == s.version,
-                cat("content of ", plan_.graph->data(s.object).name,
-                    " advanced to version ", current_version_[s.object],
-                    " before version ", s.version, " was sent"));
     ProcState& ps = procs_[q];
     const std::int64_t bytes = plan_.graph->data(s.object).size_bytes;
-    const std::uint32_t seq = ++ps.sent_seq[{s.object, s.dest}];
+    const std::uint32_t seq = ps.proto.stamp_put(s);
     record(q, std::max(queue_.now(), ps.busy_until), obs::EventKind::kPut,
            s.object, s.version, s.dest, bytes,
            static_cast<std::uint16_t>(seq));
     ps.busy_until =
         std::max(queue_.now(), ps.busy_until) + params_.send_overhead_us(bytes);
     report_->send_us += params_.send_overhead_us(bytes);
-    ++report_->content_messages;
-    report_->content_bytes += bytes;
     record(q, ps.busy_until, obs::EventKind::kPutPublish, s.object,
            s.version, s.dest, bytes, static_cast<std::uint16_t>(seq));
     const SimTime arrive = ps.busy_until + params_.rma_latency_us;
-    const DataId d = s.object;
-    const std::int32_t v = s.version;
-    const ProcId dest = s.dest;
-    queue_.schedule_at(arrive, [this, dest, d, v, seq] {
-      auto& rv = procs_[dest].received_version[d];
-      rv = std::max(rv, v);
-      auto& rs = procs_[dest].received_seq[d];
-      rs = std::max(rs, seq);
-      wake(dest);
+    queue_.schedule_at(arrive, [this, s, seq] {
+      ProcState& to = procs_[s.dest];
+      to.received_version[s.object] =
+          std::max(to.received_version[s.object], s.version);
+      to.received_seq[s.object] = std::max(to.received_seq[s.object], seq);
+      wake(s.dest);
     });
   }
 
-  void send_addr_package(ProcId q, ProcId dest, AddrPackage pkg) {
+  void send_addr_package(ProcId q, ProcId dest, const AddrPackage& unstamped) {
     ProcState& ps = procs_[q];
-    pkg.seq = ++ps.pkg_seq_sent[dest];
+    const AddrPackage pkg = ps.proto.stamp_package(dest, unstamped);
+    ps.proto.package_sent(pkg);
     ++procs_[dest].mailbox_in_flight[q];
     const double pkg_cost =
         params_.rma_overhead_us +
         params_.addr_entry_us * static_cast<double>(pkg.entries.size());
     ps.busy_until = std::max(queue_.now(), ps.busy_until) + pkg_cost;
     report_->map_us += pkg_cost;
-    ++report_->addr_packages;
-    report_->addr_entries += static_cast<std::int64_t>(pkg.entries.size());
     record(q, ps.busy_until, obs::EventKind::kAddrPkgSend,
            static_cast<std::int32_t>(pkg.entries.size()),
            static_cast<std::int32_t>(pkg.seq), dest);
@@ -393,32 +312,17 @@ class Simulator {
     while (!ps.inbox.empty()) {
       const auto [src, pkg] = ps.inbox.front();
       ps.inbox.pop_front();
-      for (const auto& [d, offset] : pkg.entries) {
-        (void)offset;  // the simulator tracks knowledge, not raw addresses
-        ps.known_addrs.emplace(d, pkg.reader);
-      }
+      ps.proto.install_package(pkg, /*verify_crc=*/false);
       record(q, queue_.now(), obs::EventKind::kAddrPkgInstall,
              static_cast<std::int32_t>(pkg.entries.size()),
              static_cast<std::int32_t>(pkg.seq), pkg.reader);
       --ps.mailbox_in_flight[src];
       ps.busy_until = std::max(queue_.now(), ps.busy_until) + params_.poll_us;
-      queue_.schedule_after(params_.poll_us, [this, src = src] {
-        advance(src);
-      });
+      queue_.schedule_after(params_.poll_us, [this, s = src] { advance(s); });
     }
-    // Suspended sends whose addresses just arrived: one batch per
-    // destination per drain round, matching the threaded executor's CQ.
-    std::set<ProcId> dispatched;
-    for (auto it = ps.suspended.begin(); it != ps.suspended.end();) {
-      if (ps.known_addrs.count({it->object, it->dest})) {
-        transmit(q, *it);
-        dispatched.insert(it->dest);
-        it = ps.suspended.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    report_->put_batches += static_cast<std::int64_t>(dispatched.size());
+    ps.proto.drain([this, q](ProcId, std::span<const ContentSend> b) {
+      for (const ContentSend& s : b) transmit(q, s);
+    });
   }
 
   /// Arrival-driven wake-up; the poll charge models one RA+CQ round.
@@ -429,18 +333,19 @@ class Simulator {
   void check_all_finished() const {
     for (ProcId q = 0; q < plan_.num_procs; ++q) {
       const ProcState& ps = procs_[q];
-      if (ps.pos < num_tasks_of(q) || !ps.suspended.empty() ||
+      if (!ps.proto.finished() || ps.proto.suspended_count() > 0 ||
           !ps.pending_packages.empty()) {
         std::string dump;
         for (ProcId r = 0; r < plan_.num_procs; ++r) {
           const ProcState& rs = procs_[r];
-          dump += cat("\n  P", r, ": pos ", rs.pos, "/", num_tasks_of(r),
+          dump += cat("\n  P", r, ": pos ", rs.proto.pos(), "/",
+                      plan_.procs[r].order.size(),
                       rs.in_map ? " [in MAP]" : "", ", suspended ",
-                      rs.suspended.size(), ", pending packages ",
+                      rs.proto.suspended_count(), ", pending packages ",
                       rs.pending_packages.size());
-          if (rs.pos < num_tasks_of(r)) {
+          if (!rs.proto.finished()) {
             dump += cat(", waiting on ",
-                        plan_.graph->task(plan_.procs[r].order[rs.pos]).name);
+                        plan_.graph->task(rs.proto.current_task()).name);
           }
         }
         throw ProtocolDeadlockError(
@@ -456,8 +361,6 @@ class Simulator {
   const bool tracing_;
   machine::EventQueue queue_;
   std::vector<ProcState> procs_;
-  std::vector<std::vector<std::int32_t>> epoch_remaining_;
-  std::vector<std::int32_t> current_version_;
   RunReport* report_ = nullptr;
 };
 

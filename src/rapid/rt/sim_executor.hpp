@@ -1,16 +1,20 @@
 // Discrete-event executor: runs the active-memory-management protocol on a
 // modeled distributed-memory machine (rapid::machine) and reports modeled
 // parallel time, MAP counts, peak memory and message traffic. This is the
-// instrument behind every timing table in the paper reproduction.
+// instrument behind every timing table in the paper reproduction. Each
+// processor's protocol decisions and counters come from the RankProtocol
+// (rt/rank_protocol.hpp) the threaded executor drives too; the simulator
+// adds the event queue, MachineParams charges, arrivals and mailbox slots.
 //
 // Protocol states map onto the paper's Figure 3(b):
 //   REC — a processor whose next task's remote inputs have not arrived is
 //         idle; arrival events wake it (the DES equivalent of polling, a
 //         poll_us charge models the RA/CQ service round).
 //   EXE — a busy interval ending in a completion event.
-//   SND — completion handlers charge the sender for flag and content puts;
-//         content sends without a known remote address join the suspended
-//         queue (dispatched by CQ when the address package is consumed).
+//   SND — completion handlers charge the sender for flag and content puts
+//         (one address-table lookup per send with active memory); content
+//         sends without a known remote address join the suspended queue
+//         (released by CQ when the address package is consumed).
 //   MAP — perform_map() plus sequential address-package sends; a full
 //         destination mailbox slot blocks the sender until the consumption
 //         event frees it.

@@ -1,13 +1,11 @@
 #include "rapid/rt/threaded_executor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -22,8 +20,8 @@
 #include "rapid/obs/metrics.hpp"
 #include "rapid/obs/trace.hpp"
 #include "rapid/obs/trace_io.hpp"
-#include "rapid/rt/map_engine.hpp"
 #include "rapid/rt/proc_failure.hpp"
+#include "rapid/rt/rank_protocol.hpp"
 #include "rapid/rt/shm_transport.hpp"
 #include "rapid/rt/stall.hpp"
 #include "rapid/rt/transport.hpp"
@@ -85,6 +83,12 @@ struct ThreadedExecutor::Impl {
     std::int32_t attempts = 0;
     std::int64_t started_ns = 0;
     std::int64_t deadline_ns = 0;
+
+    /// This wait as a retry-history entry, waited until `now` (ns).
+    RetryRecord record(std::int64_t now, bool is_exhausted) const {
+      return {object, version,  flag_task, attempts,
+              (now - started_ns) / 1000, is_exhausted};
+    }
   };
 
   /// The first unmet gate of a task, as seen by its processor right now.
@@ -110,37 +114,13 @@ struct ThreadedExecutor::Impl {
     std::uint32_t attempt = 0;
   };
 
-  /// Per-processor private state, touched only by its own thread.
+  /// Per-processor private state, touched only by its own thread: the
+  /// rank's protocol core plus what only this executor has (verification,
+  /// recovery, waits, snapshots, faults).
   struct Private {
-    std::unique_ptr<ProcMemory> memory;
-    std::int32_t pos = 0;
-    std::int32_t maps = 0;
-    /// Owner-side address table: offset of owned object d inside reader
-    /// r's heap, at [owned_index[d] * num_procs + r]; kNullOffset =
-    /// unknown. Flat array — the send path does no tree walks.
-    std::vector<mem::Offset> known_addrs;
-    /// Owner-side put sequence numbers, parallel to known_addrs: how many
-    /// puts this owner has issued into (object, reader)'s slot. Single
-    /// lifetime window per (object, reader) keeps the slot's address stable,
-    /// so the counter spans original puts and resends alike.
-    std::vector<std::uint32_t> sent_seq;
-    /// Suspended sends grouped by destination, plus per-peer epochs: a
-    /// destination's queue is rescanned only when new addresses from that
-    /// peer arrived since the last scan (addr_epoch advanced past
-    /// scanned_epoch), not on every poll.
-    std::vector<std::deque<ContentSend>> suspended_by_dest;
-    std::vector<std::uint32_t> addr_epoch;
-    std::vector<std::uint32_t> scanned_epoch;
-    std::int64_t suspended_count = 0;
-    /// Put-coalescing scratch, worker-private: the sends a SND state emits
-    /// before routing (send_scratch), the per-destination grouping buckets
-    /// (batch_by_dest, cleared after each flush), and the staged-but-not-
-    /// yet-published puts of the batch in flight (staged).
-    std::vector<ContentSend> send_scratch;
-    std::vector<std::vector<ContentSend>> batch_by_dest;
+    std::optional<RankProtocol> proto;
+    /// The staged-but-not-yet-published puts of the batch in flight.
     std::vector<StagedPut> staged;
-    std::vector<std::int32_t> epoch_remaining;  // flattened, see epoch_base
-    std::vector<std::int32_t> current_version;  // per owned object
     /// Reader-side verification state, per object: the put seq whose
     /// payload last passed (verified) or failed (rejected) its CRC. Gating
     /// recomputation on the seq makes verification race-free against
@@ -152,10 +132,6 @@ struct ThreadedExecutor::Impl {
     std::vector<std::uint32_t> rejected_seq;
     /// A fresh checksum rejection fast-tracks exactly one re-request.
     bool fast_nack = false;
-    /// Address-package sequence stamping (per destination) and replay
-    /// suppression (per source).
-    std::vector<std::uint32_t> pkg_seq_sent;
-    std::vector<std::uint32_t> pkg_seq_seen;
     /// Bounded re-request bookkeeping.
     WaitTracker wait;
     std::vector<RetryRecord> retry_log;
@@ -163,9 +139,6 @@ struct ThreadedExecutor::Impl {
     /// END-state bookkeeping and stall-snapshot plumbing (worker-private).
     bool counted_quiescent = false;
     std::optional<Backoff> backoff;  // the worker loop's backoff
-    /// Last protocol state recorded to the tracer (change-only recording);
-    /// 255 = none yet. Worker-private like everything else here.
-    std::uint8_t traced_state = 255;
     std::uint64_t snap_seen = 0;     // last snapshot generation served
     std::int64_t addr_pkgs_sent = 0;  // deterministic per-proc ordinal
     std::int64_t park_accum = 0;      // parks from finished MAP-send waits
@@ -179,10 +152,6 @@ struct ThreadedExecutor::Impl {
   };
 
   std::vector<Private> priv;
-  std::vector<std::size_t> epoch_base;  // per object, into epoch_remaining
-  /// Dense index of each object among its owner's permanents (for the
-  /// known_addrs tables); -1 until built.
-  std::vector<std::int32_t> owned_index;
 
   /// The one-sided transport behind the data plane: windows, mailboxes,
   /// NACK channels, doorbells, the abort/quiescence/failure control plane,
@@ -229,15 +198,6 @@ struct ThreadedExecutor::Impl {
   /// decrements before the stall window closes.
   std::atomic<std::int32_t> exhausted_waiters{0};
 
-  /// Counters of every rank this process plays, indexed by ShmCounter
-  /// (relaxed; exact once the ranks stopped). The per-rank MAP count and
-  /// heap peak live in Private and ProcMemory, so those two slots stay 0.
-  std::array<std::atomic<std::int64_t>, kNumShmCounters> ctr{};
-
-  void count(ShmCounter c, std::int64_t n = 1) {
-    ctr[c].fetch_add(n, std::memory_order_relaxed);
-  }
-
   Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
        TaskBody body_, ThreadedOptions options_)
       : plan(plan_),
@@ -270,20 +230,19 @@ struct ThreadedExecutor::Impl {
 
   void bump_progress() { bell->ring(); }
 
-  /// Mirror the running recovery totals into the transport's control plane
-  /// so an external sampler sees per-rank NACK/resend rates mid-run. Only
-  /// called on recovery paths (already cold); no-op in-proc.
+  /// Rank q's recovery totals so far, for an external sampler (recovery
+  /// paths only; a no-op in-process).
   void publish_recovery_counters(ProcId q) {
-    tp->publish_recovery(q, ctr[kCtrNacksSent].load(std::memory_order_relaxed),
-                         ctr[kCtrResends].load(std::memory_order_relaxed) +
-                             ctr[kCtrFlagResends].load(
-                                 std::memory_order_relaxed));
+    const RankProtocol& proto = *priv[q].proto;
+    tp->publish_recovery(q, proto.counter(kCtrNacksSent),
+                         proto.counter(kCtrResends) +
+                             proto.counter(kCtrFlagResends));
   }
 
   /// Publishes q's light protocol state (and, cross-process, refreshes its
   /// heartbeat lease).
   void set_state(ProcId q, ProcState s) {
-    tp->beat(q, static_cast<std::uint8_t>(s), priv[q].pos);
+    tp->beat(q, static_cast<std::uint8_t>(s), priv[q].proto->pos());
   }
 
   /// Process-kill fault hook: rank q SIGKILLs itself at its nth entry into
@@ -301,12 +260,10 @@ struct ThreadedExecutor::Impl {
   /// Record entry into one of the paper's five protocol states
   /// (change-only: re-entering the current state records nothing).
   void trace_state(ProcId q, obs::ProtoState s) {
-    if (!tracing) return;
-    Private& me = priv[q];
-    if (me.traced_state == static_cast<std::uint8_t>(s)) return;
-    me.traced_state = static_cast<std::uint8_t>(s);
-    trace->record(q, obs::EventKind::kStateEnter,
-                  static_cast<std::int32_t>(s));
+    if (tracing && priv[q].proto->enter(s)) {
+      trace->record(q, obs::EventKind::kStateEnter,
+                    static_cast<std::int32_t>(s));
+    }
   }
 
   /// backoff.pause() with park accounting into the trace: one kPark event
@@ -325,57 +282,34 @@ struct ThreadedExecutor::Impl {
     }
   }
 
-  std::size_t slot_index(DataId d, ProcId reader) const {
-    return static_cast<std::size_t>(owned_index[d]) *
-               static_cast<std::size_t>(plan.num_procs) +
-           static_cast<std::size_t>(reader);
-  }
-
-  mem::Offset& addr_slot(Private& me, DataId d, ProcId reader) {
-    return me.known_addrs[slot_index(d, reader)];
-  }
-
   // ---- owner-side sending ----------------------------------------------
 
-  /// The coalesced RMA put: every send of the batch targets `dest`, and the
-  /// batch runs as one staging pass followed by one publication pass with a
-  /// single doorbell ring at the end — the trace-driven hot-path fix for SND
-  /// states that fan several small objects into the same destination (one
-  /// bell ring, one counter cache-line bounce per *batch* instead of per
-  /// put). Per put the protocol is unchanged: payload memcpy into the
-  /// destination heap with no lock held, then a release publish in the
-  /// order crc (relaxed) → version (release) → seq (release) — readiness
-  /// gates on version, trust gates on seq, and an acquire load of seq makes
-  /// the payload, crc, and version all visible. Publication replays the
-  /// batch in staging order, so per (object, dest) nothing is reordered.
-  /// Always runs on the owner's thread (complete_task / initial sends / CQ
-  /// dispatch / NACK resend), so the copies are program-ordered and the
-  /// version/crc/seq slots keep a single writer. The put-delay fault
-  /// stretches the window between copy and publication — bytes written,
-  /// visibility withheld — which a correct reader must never notice; with
-  /// coalescing the whole batch sits staged through the slowest put's
-  /// window. The corruption fault flips a destination byte inside that same
-  /// window, which the checksum must catch before the content is trusted.
+  /// The coalesced RMA put of one batch RankProtocol routed to `dest`: one
+  /// staging pass, then one publication pass and a single doorbell ring.
+  /// Per put: payload memcpy into the destination heap with no lock held,
+  /// then a release publish crc (relaxed) → version (release) → seq
+  /// (release) — readiness gates on version, trust on seq, and an acquire
+  /// load of seq makes payload, crc and version visible. Publication
+  /// replays the staging order, and the owner's thread is the only writer
+  /// of the version/crc/seq slots. The put-delay fault stretches the window
+  /// between copy and publication (bytes written, visibility withheld) for
+  /// the whole batch; the corruption fault flips a destination byte inside
+  /// it, which the checksum must catch before the content is trusted.
   void transmit_batch(ProcId q, ProcId dest,
                       std::span<const ContentSend> sends) {
     Private& me = priv[q];
+    RankProtocol& proto = *me.proto;
     const WindowView& dst = win[dest];
     const WindowView& mine = win[q];
     auto& staged = me.staged;
     staged.clear();
-    std::int64_t batch_bytes = 0;
     std::int64_t delay_us = 0;
     for (const ContentSend& s : sends) {
       RAPID_CHECK(s.dest == dest, "batched send to the wrong destination");
-      RAPID_CHECK(me.current_version[s.object] == s.version,
-                  cat("object ", plan.graph->data(s.object).name,
-                      " overwritten before version ", s.version,
-                      " was sent"));
-      const mem::Offset dst_off = addr_slot(me, s.object, dest);
-      RAPID_CHECK(dst_off != mem::kNullOffset, "transmit without address");
+      const std::uint32_t attempt = proto.stamp_put(s);
+      const mem::Offset dst_off = proto.addr(s.object, dest);
       const std::int64_t size = plan.graph->data(s.object).size_bytes;
-      const mem::Offset src_off = me.memory->offset_of(s.object);
-      const std::uint32_t attempt = ++me.sent_seq[slot_index(s.object, dest)];
+      const mem::Offset src_off = proto.memory().offset_of(s.object);
       if (tracing) {
         trace->record(q, obs::EventKind::kPut, s.object, s.version, dest,
                       size, static_cast<std::uint16_t>(attempt));
@@ -403,7 +337,6 @@ struct ThreadedExecutor::Impl {
                             faults.put_delay_us(s.object, s.version, dest));
       }
       staged.push_back({s.object, s.version, size, crc, attempt});
-      batch_bytes += size;
     }
     // One delay for the whole batch, stretched to its slowest put: every
     // staged payload stays unpublished through the window, which is exactly
@@ -414,7 +347,7 @@ struct ThreadedExecutor::Impl {
       // release max-merge -> seq release), defined once on the Transport.
       tp->publish(dst, p.object, p.version, checksum_on, p.crc, p.attempt);
       if (p.attempt > 1) {
-        count(kCtrResends);
+        proto.count(kCtrResends);
         publish_recovery_counters(q);
       }
       if (tracing) {
@@ -424,64 +357,19 @@ struct ThreadedExecutor::Impl {
                       static_cast<std::uint16_t>(p.attempt));
       }
     }
-    count(kCtrContentMessages, static_cast<std::int64_t>(sends.size()));
-    count(kCtrContentBytes, batch_bytes);
-    count(kCtrPutBatches);
     bump_progress();
   }
 
-  /// Single-put form (NACK resends and other one-off paths): a batch of one.
-  void transmit(ProcId q, const ContentSend& s) {
-    transmit_batch(q, s.dest, {&s, 1});
-  }
-
-  void trigger_send(ProcId q, const ContentSend& s) {
-    Private& me = priv[q];
-    if (addr_slot(me, s.object, s.dest) != mem::kNullOffset) {
-      transmit(q, s);
-    } else {
-      RAPID_CHECK(config.active_memory, "baseline must know every address");
-      me.suspended_by_dest[s.dest].push_back(s);
-      ++me.suspended_count;
-      count(kCtrSuspendedSends);
-    }
-  }
-
-  /// Route a SND state's sends: coalesce the ones whose destination buffer
-  /// addresses are already known into one transmit_batch per destination
-  /// (per-destination program order preserved); suspend the rest exactly as
-  /// trigger_send would.
-  void dispatch_sends(ProcId q, std::span<const ContentSend> sends) {
-    if (sends.empty()) return;
-    if (sends.size() == 1) {
-      trigger_send(q, sends.front());
-      return;
-    }
-    Private& me = priv[q];
-    bool any_ready = false;
-    for (const ContentSend& s : sends) {
-      if (addr_slot(me, s.object, s.dest) != mem::kNullOffset) {
-        me.batch_by_dest[s.dest].push_back(s);
-        any_ready = true;
-      } else {
-        RAPID_CHECK(config.active_memory, "baseline must know every address");
-        me.suspended_by_dest[s.dest].push_back(s);
-        ++me.suspended_count;
-        count(kCtrSuspendedSends);
-      }
-    }
-    if (!any_ready) return;
-    for (ProcId r = 0; r < plan.num_procs; ++r) {
-      auto& batch = me.batch_by_dest[r];
-      if (batch.empty()) continue;
-      transmit_batch(q, r, batch);
-      batch.clear();
-    }
+  /// The callback RankProtocol hands each routed or drained batch to.
+  auto transmitter(ProcId q) {
+    return [this, q](ProcId dest, std::span<const ContentSend> batch) {
+      transmit_batch(q, dest, batch);
+    };
   }
 
   void send_flag(ProcId q, ProcId dest, TaskId t) {
     tp->raise_flag(win[dest], t);
-    count(kCtrFlagMessages);
+    priv[q].proto->count(kCtrFlagMessages);
     if (tracing) trace->record(q, obs::EventKind::kFlagSend, t, 0, dest);
     bump_progress();
   }
@@ -508,14 +396,14 @@ struct ThreadedExecutor::Impl {
       owner = plan.graph->data(gate.object).owner;
       n.object = gate.object;
       n.version = gate.version;
-      n.reader_offset = me.memory->offset_of(gate.object);
+      n.reader_offset = me.proto->memory().offset_of(gate.object);
       n.observed_seq = std::max(me.verified_seq[gate.object],
                                 me.rejected_seq[gate.object]);
     } else {
       owner = plan.schedule.proc_of_task[gate.flag_task];
       n.flag_task = gate.flag_task;
     }
-    count(kCtrNacksSent);
+    me.proto->count(kCtrNacksSent);
     publish_recovery_counters(q);
     if (tracing) {
       if (gate.object != graph::kInvalidData) {
@@ -541,63 +429,52 @@ struct ThreadedExecutor::Impl {
   /// anti-edges of a dependence-complete plan) the owner's current_version
   /// is still v, so retransmitting current content is consistent.
   bool service_nack(ProcId q, const NackRequest& n) {
-    Private& me = priv[q];
+    RankProtocol& proto = *priv[q].proto;
     if (n.flag_task != graph::kInvalidTask) {
       // Flag stores are idempotent; resend iff the task completed here.
-      if (plan.schedule.pos_of_task[n.flag_task] < me.pos) {
+      if (plan.schedule.pos_of_task[n.flag_task] < proto.pos()) {
         send_flag(q, n.requester, n.flag_task);
-        count(kCtrFlagResends);
+        proto.count(kCtrFlagResends);
         publish_recovery_counters(q);
         return true;
       }
       return false;  // not yet complete: normal completion will deliver it
     }
     const DataId d = n.object;
-    bool installed = false;
-    mem::Offset& slot = addr_slot(me, d, n.requester);
-    if (slot == mem::kNullOffset) {
-      // The address package carrying this buffer was lost: the re-request
-      // heals it (the waiter always knows its own buffer — Fact I). The CQ
-      // scan after this drain dispatches the suspended send.
-      slot = n.reader_offset;
-      ++me.addr_epoch[n.requester];
-      installed = true;
-    }
-    if (me.current_version[d] < n.version) {
+    // A lost address package is healed by the re-request (the waiter
+    // always knows its own buffer — Fact I); the CQ drain after this one
+    // dispatches the suspended send.
+    const bool installed = proto.learn_addr(d, n.requester, n.reader_offset);
+    if (proto.current_version(d) < n.version) {
       // The epoch producing the needed version has not completed here yet;
       // its completion will send normally. Nothing to resend.
       return installed;
     }
-    if (me.current_version[d] > n.version) {
+    if (proto.current_version(d) > n.version) {
       // Stale re-request: the waiter was already satisfied (its NACK raced
       // the delivery). WAR anti-edges forbid this while the wait is real.
-      count(kCtrDupSuppressions);
+      proto.count(kCtrDupSuppressions);
       return installed;
     }
-    auto& queue = me.suspended_by_dest[n.requester];
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      if (it->object == d && it->version == n.version) {
-        // The original send never left: it was suspended waiting for the
-        // very address this re-request carried (or that arrived late).
-        // Dispatch it here AND erase it, so neither a second queued NACK
-        // nor the CQ scan after this drain can transmit it again — a
-        // double dispatch would memcpy over bytes the waiter may already
-        // be CRC-verifying from the first copy.
-        transmit(q, *it);
-        queue.erase(it);
-        --me.suspended_count;
-        return true;
-      }
+    if (const auto s = proto.take_suspended(d, n.version, n.requester)) {
+      // The original send never left: it was suspended waiting for the
+      // very address this re-request carried (or that arrived late).
+      // Dispatch it here, out of the queue, so neither a second queued NACK
+      // nor the CQ drain can transmit it again — a double dispatch would
+      // memcpy over bytes the waiter may already be CRC-verifying.
+      proto.route({&*s, 1}, transmitter(q));
+      return true;
     }
     if (installed) return true;  // nothing suspended: completion will send
-    if (me.sent_seq[slot_index(d, n.requester)] != n.observed_seq) {
+    if (proto.sent_seq(d, n.requester) != n.observed_seq) {
       // A newer put than the waiter observed is already published (the
       // NACK raced it): replaying now could race the waiter's verification
       // of that put. Suppress — the waiter re-checks before re-requesting.
-      count(kCtrDupSuppressions);
+      proto.count(kCtrDupSuppressions);
       return installed;
     }
-    transmit(q, ContentSend{d, n.version, n.requester});
+    const ContentSend resend{d, n.version, n.requester};
+    proto.route({&resend, 1}, transmitter(q));
     return true;
   }
 
@@ -626,14 +503,7 @@ struct ThreadedExecutor::Impl {
     me.fast_nack = false;
     if (w.attempts >= options.retry.max_attempts) {
       w.exhausted = true;
-      RetryRecord r;
-      r.object = w.object;
-      r.version = w.version;
-      r.flag_task = w.flag_task;
-      r.attempts = w.attempts;
-      r.waited_us = (now - w.started_ns) / 1000;
-      r.exhausted = true;
-      me.retry_log.push_back(r);
+      me.retry_log.push_back(w.record(now, true));
       me.exhausted_index = me.retry_log.size() - 1;
       exhausted_waiters.fetch_add(1, std::memory_order_acq_rel);
       tp->beat_wait(q, w.object, w.version, w.flag_task, graph::kInvalidProc,
@@ -654,20 +524,12 @@ struct ThreadedExecutor::Impl {
     Private& me = priv[q];
     WaitTracker& w = me.wait;
     if (!w.active) return;
-    const std::int64_t waited = (now_ns() - w.started_ns) / 1000;
     if (w.exhausted) {
-      RetryRecord& r = me.retry_log[me.exhausted_index];
-      r.exhausted = false;  // healed after exhausting: owner was slow
-      r.waited_us = waited;
+      // Healed after exhausting: the owner was slow.
+      me.retry_log[me.exhausted_index] = w.record(now_ns(), false);
       exhausted_waiters.fetch_sub(1, std::memory_order_acq_rel);
     } else if (w.attempts > 0) {
-      RetryRecord r;
-      r.object = w.object;
-      r.version = w.version;
-      r.flag_task = w.flag_task;
-      r.attempts = w.attempts;
-      r.waited_us = waited;
-      me.retry_log.push_back(r);
+      me.retry_log.push_back(w.record(now_ns(), false));
     }
     w = WaitTracker{};
   }
@@ -681,40 +543,25 @@ struct ThreadedExecutor::Impl {
   /// package was consumed, request serviced, or send dispatched (the
   /// caller's backoff resets on progress).
   bool service_ra_cq(ProcId q) {
-    Private& me = priv[q];
+    RankProtocol& proto = *priv[q].proto;
     bool progressed = false;
     if (tp->addr_packages_pending(q)) {
       std::vector<AddrPackage> consumed;
       tp->drain_addr_packages(q, &consumed);
       for (const AddrPackage& pkg : consumed) {
-        if (pkg.seq != 0) {
-          auto& last_seen = me.pkg_seq_seen[pkg.reader];
-          if (pkg.seq <= last_seen) {
-            // Replayed/duplicated package: entries were already installed
-            // (idempotently installable anyway — one lifetime window per
-            // object keeps the offsets identical), only the count matters.
-            count(kCtrDupSuppressions);
-            continue;
+        const RankProtocol::Install got =
+            proto.install_package(pkg, checksum_on);
+        if (got == RankProtocol::Install::kDuplicate) continue;
+        if (got == RankProtocol::Install::kCorrupt) {
+          if (!recovery_on) {
+            fail(q,
+                 cat("integrity: address package from p", pkg.reader, " to p",
+                     q, " failed its checksum"),
+                 FailureKind::kIntegrity);
+            return progressed;
           }
-          if (checksum_on && pkg.crc != pkg.checksum()) {
-            count(kCtrChecksumRejections);
-            if (!recovery_on) {
-              fail(q,
-                   cat("integrity: address package from p", pkg.reader,
-                       " to p", q, " failed its checksum"),
-                   FailureKind::kIntegrity);
-              return progressed;
-            }
-            // Dropped before advancing last_seen: the waiter's re-request
-            // carries the same addresses and heals this.
-            continue;
-          }
-          last_seen = pkg.seq;
+          continue;
         }
-        for (const auto& [d, offset] : pkg.entries) {
-          addr_slot(me, d, pkg.reader) = offset;
-        }
-        ++me.addr_epoch[pkg.reader];
         if (tracing) {
           trace->record(q, obs::EventKind::kAddrPkgInstall,
                         static_cast<std::int32_t>(pkg.entries.size()),
@@ -731,32 +578,7 @@ struct ThreadedExecutor::Impl {
         if (service_nack(q, n)) progressed = true;
       }
     }
-    if (me.suspended_count > 0) {
-      for (ProcId r = 0; r < plan.num_procs; ++r) {
-        auto& queue = me.suspended_by_dest[r];
-        if (queue.empty() || me.scanned_epoch[r] == me.addr_epoch[r]) {
-          continue;  // no new addresses from r since the last scan
-        }
-        me.scanned_epoch[r] = me.addr_epoch[r];
-        // The suspended queue for one destination is a natural batch: every
-        // send whose address just arrived goes out in one coalesced put.
-        auto& batch = me.batch_by_dest[r];
-        for (auto it = queue.begin(); it != queue.end();) {
-          if (addr_slot(me, it->object, r) != mem::kNullOffset) {
-            batch.push_back(*it);
-            it = queue.erase(it);
-            --me.suspended_count;
-          } else {
-            ++it;
-          }
-        }
-        if (!batch.empty()) {
-          transmit_batch(q, r, batch);
-          batch.clear();
-          progressed = true;
-        }
-      }
-    }
+    if (proto.drain(transmitter(q))) progressed = true;
     return progressed;
   }
 
@@ -782,9 +604,7 @@ struct ThreadedExecutor::Impl {
       const std::int64_t delay = faults.addr_delay_us(q, dest, ordinal);
       if (delay > 0) sleep_us(delay);
     }
-    AddrPackage stamped = pkg;
-    stamped.seq = ++me.pkg_seq_sent[dest];
-    stamped.crc = stamped.checksum();
+    const AddrPackage stamped = me.proto->stamp_package(dest, pkg);
     // Network-level duplication fault: same sequence number, past the slot
     // bound (the bound is a protocol courtesy the fault deliberately
     // violates); the receiver must suppress the replay.
@@ -799,9 +619,7 @@ struct ThreadedExecutor::Impl {
       const std::uint64_t seen = bell->value();
       if (tp->try_send_addr_package(q, dest, stamped, config.mailbox_slots,
                                     copies)) {
-        count(kCtrAddrPackages);
-        count(kCtrAddrEntries,
-              static_cast<std::int64_t>(stamped.entries.size()));
+        me.proto->package_sent(stamped);
         sent = true;
         if (tracing) {
           trace->record(q, obs::EventKind::kAddrPkgSend,
@@ -817,8 +635,7 @@ struct ThreadedExecutor::Impl {
         // Publish the blocked-on-mailbox state (with the full destination)
         // before parking so a cross-process coordinator can attribute this
         // wait if the destination's process dies.
-        tp->beat(q, static_cast<std::uint8_t>(ProcState::kMapBlocked),
-                 me.pos);
+        set_state(q, ProcState::kMapBlocked);
         tp->beat_wait(q, graph::kInvalidData, -1, graph::kInvalidTask, dest,
                       0, false);
         traced_pause(q, backoff, seen);
@@ -849,7 +666,7 @@ struct ThreadedExecutor::Impl {
       return false;  // known-bad copy: wait for the resend
     }
     const std::int64_t size = plan.graph->data(d).size_bytes;
-    const mem::Offset off = me.memory->offset_of(d);
+    const mem::Offset off = me.proto->memory().offset_of(d);
     const std::uint32_t expect =
         mine.received_crc[d].load(std::memory_order_relaxed);
     const std::uint32_t actual =
@@ -860,7 +677,7 @@ struct ThreadedExecutor::Impl {
     }
     me.rejected_seq[d] = seq;
     me.fast_nack = true;  // re-request immediately, not at the deadline
-    count(kCtrChecksumRejections);
+    me.proto->count(kCtrChecksumRejections);
     if (!recovery_on) {
       fail(q,
            cat("integrity: checksum mismatch on object ",
@@ -914,22 +731,18 @@ struct ThreadedExecutor::Impl {
   void publish_snapshot(ProcId q, std::int64_t extra_parks,
                         std::int64_t extra_timeouts, ProcId map_blocked_dest) {
     Private& me = priv[q];
+    const RankProtocol& proto = *me.proto;
     const std::uint64_t gen = snap_gen.load(std::memory_order_acquire);
-    const ProcPlan& pp = plan.procs[q];
-    const auto n = static_cast<std::int32_t>(pp.order.size());
     ProcSnapshot s;
     s.proc = q;
     s.detailed = true;
-    s.pos = me.pos;
-    s.order_size = n;
-    s.suspended_sends = me.suspended_count;
-    s.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs), 0);
+    s.pos = proto.pos();
+    s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
+    s.suspended_sends = proto.suspended_count();
     for (ProcId r = 0; r < plan.num_procs; ++r) {
-      s.suspended_by_dest[static_cast<std::size_t>(r)] =
-          static_cast<std::int64_t>(
-              me.suspended_by_dest[static_cast<std::size_t>(r)].size());
+      s.suspended_by_dest.push_back(proto.suspended_to(r));
     }
-    s.addr_epoch = me.addr_epoch;
+    s.addr_epoch = proto.addr_epoch();
     s.mailbox_packages = tp->mailbox_occupancy(q);
     s.parks = me.park_accum + (me.backoff ? me.backoff->parks() : 0) +
               extra_parks;
@@ -942,28 +755,22 @@ struct ThreadedExecutor::Impl {
         s.retry_attempts = me.wait.attempts;
         if (me.wait.attempts > 0 && !me.wait.exhausted) {
           // The in-flight wait, reported as an open (non-exhausted) episode.
-          RetryRecord r;
-          r.object = me.wait.object;
-          r.version = me.wait.version;
-          r.flag_task = me.wait.flag_task;
-          r.attempts = me.wait.attempts;
-          r.waited_us = (now_ns() - me.wait.started_ns) / 1000;
-          s.retry_history.push_back(r);
+          s.retry_history.push_back(me.wait.record(now_ns(), false));
         }
       }
     }
     if (map_blocked_dest != graph::kInvalidProc) {
       s.state = ProcState::kMapBlocked;
       s.mailbox_full_dest = map_blocked_dest;
-      if (me.pos < n) s.current_task = pp.order[me.pos];
-    } else if (me.pos >= n) {
+      if (!proto.finished()) s.current_task = proto.current_task();
+    } else if (proto.finished()) {
       s.state = me.counted_quiescent ? ProcState::kQuiescent
                                      : ProcState::kEndDrain;
-    } else if (config.active_memory && me.memory->needs_map(me.pos)) {
+    } else if (proto.needs_map()) {
       s.state = ProcState::kMap;
-      s.current_task = pp.order[me.pos];
+      s.current_task = proto.current_task();
     } else {
-      const TaskId t = pp.order[me.pos];
+      const TaskId t = proto.current_task();
       s.current_task = t;
       GateRef gate;
       if (task_ready(q, t, &gate)) {
@@ -1239,57 +1046,32 @@ struct ThreadedExecutor::Impl {
 
   // ---- worker ------------------------------------------------------------
 
+  /// Object d's bytes in rank q's heap.
+  std::span<std::byte> bytes_of(ProcId q, DataId d) {
+    return {win[static_cast<std::size_t>(q)].heap +
+                priv[q].proto->memory().offset_of(d),
+            static_cast<std::size_t>(plan.graph->data(d).size_bytes)};
+  }
+
   class Resolver final : public ObjectResolver {
    public:
     Resolver(Impl& impl, ProcId proc) : impl_(impl), proc_(proc) {}
 
     std::span<const std::byte> read(DataId d) const override {
-      const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
-      const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
-      return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
-              static_cast<std::size_t>(size)};
+      return impl_.bytes_of(proc_, d);
     }
 
     std::span<std::byte> write(DataId d) override {
       RAPID_CHECK(impl_.plan.graph->data(d).owner == proc_,
                   cat("task on processor ", proc_, " writing non-owned ",
                       impl_.plan.graph->data(d).name));
-      const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
-      const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
-      return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
-              static_cast<std::size_t>(size)};
+      return impl_.bytes_of(proc_, d);
     }
 
    private:
     Impl& impl_;
     ProcId proc_;
   };
-
-  void complete_task(ProcId q, TaskId t) {
-    Private& me = priv[q];
-    const TaskRuntimePlan& trp = plan.tasks[t];
-    trace_state(q, obs::ProtoState::kSnd);
-    for (ProcId dest : trp.flag_dests) send_flag(q, dest, t);
-    // Collect every send this SND state produces, then route them together:
-    // dispatch_sends coalesces same-destination puts into one batch.
-    me.send_scratch.clear();
-    for (const auto& [d, v] : trp.epoch_memberships) {
-      auto& remaining = me.epoch_remaining[epoch_base[d] +
-                                           static_cast<std::size_t>(v) - 1];
-      if (--remaining == 0) {
-        RAPID_CHECK(me.current_version[d] == v - 1,
-                    "versions completed out of order");
-        me.current_version[d] = v;
-        for (ProcId dest :
-             plan.objects[d].sends_by_version[static_cast<std::size_t>(v)]) {
-          me.send_scratch.push_back(ContentSend{d, v, dest});
-        }
-      }
-    }
-    dispatch_sends(q, me.send_scratch);
-    count(kCtrTasksExecuted);
-    bump_progress();
-  }
 
   /// EXE with bounded re-execution: a TransientTaskError (injected or
   /// thrown by the body for a genuinely transient condition) is retried up
@@ -1298,7 +1080,7 @@ struct ThreadedExecutor::Impl {
   /// stale heap through a dangling address — a stale read yields poison,
   /// not plausible content — and the MAP free hook has reset the
   /// verification state of any recycled input region.
-  void execute_task(TaskId t, Resolver& resolver) {
+  void execute_task(ProcId q, TaskId t, Resolver& resolver) {
     std::int32_t attempt = 1;
     for (;;) {
       try {
@@ -1323,7 +1105,7 @@ struct ThreadedExecutor::Impl {
             tp->aborted()) {
           throw;
         }
-        count(kCtrTaskRetries);
+        priv[q].proto->count(kCtrTaskRetries);
         sleep_us(options.retry.delay_us(attempt));
         ++attempt;
       }
@@ -1332,6 +1114,7 @@ struct ThreadedExecutor::Impl {
 
   void worker(ProcId q) {
     Private& me = priv[q];
+    RankProtocol& proto = *me.proto;
     set_log_thread_proc(q);
     set_log_thread_run(options.run_id);
     // Per-run kernel dispatch: a thread-local override instead of the
@@ -1348,24 +1131,24 @@ struct ThreadedExecutor::Impl {
       for (DataId d : pp.permanents) {
         if (init) init(d, resolver.write(d));
       }
-      dispatch_sends(q, pp.initial_sends);
+      proto.route(pp.initial_sends, transmitter(q));
 
       me.backoff.emplace(*bell, options.spin_iters, effective_park_us);
       Backoff& backoff = *me.backoff;
-      const auto n = static_cast<std::int32_t>(pp.order.size());
       while (!tp->aborted()) {
         if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
           publish_snapshot(q, 0, 0, graph::kInvalidProc);
         }
-        if (me.pos < n) {
-          if (config.active_memory && me.memory->needs_map(me.pos)) {
+        if (!proto.finished()) {
+          if (proto.needs_map()) {
             // MAP state.
             set_state(q, ProcState::kMap);
             trace_state(q, obs::ProtoState::kMap);
-            if (tracing) trace->record(q, obs::EventKind::kMapBegin, me.pos);
+            if (tracing) {
+              trace->record(q, obs::EventKind::kMapBegin, proto.pos());
+            }
             if (faults_on) maybe_kill(q, FaultPlan::kKillMap);
-            const MapResult map = me.memory->perform_map(me.pos);
-            ++me.maps;
+            const MapResult map = proto.perform_map();
             if (tracing) {
               // kMapFree events came from the free hook inside perform_map;
               // close the MAP with its allocations and the heap samples the
@@ -1376,11 +1159,11 @@ struct ThreadedExecutor::Impl {
                 trace->record(q, obs::EventKind::kMapAlloc, d, 0, 0,
                               plan.graph->data(d).size_bytes);
               }
-              trace->record(q, obs::EventKind::kMapEnd, me.pos);
+              trace->record(q, obs::EventKind::kMapEnd, proto.pos());
               trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                            me.memory->in_use_bytes());
+                            proto.memory().in_use_bytes());
               trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                            me.memory->peak_bytes());
+                            proto.memory().peak_bytes());
             }
             for (const auto& [dest, pkg] : map.packages) {
               if (!send_addr_package_blocking(q, dest, pkg)) return;
@@ -1389,14 +1172,14 @@ struct ThreadedExecutor::Impl {
             backoff.reset();
             continue;
           }
-          const TaskId t = pp.order[me.pos];
+          const TaskId t = proto.current_task();
           // The protocol enters REC before every task (Fig. 3(b)); a ready
           // task just passes through it instantly.
           trace_state(q, obs::ProtoState::kRec);
-          if (faults_on && me.pos != me.last_rec_pos) {
+          if (faults_on && proto.pos() != me.last_rec_pos) {
             // First REC entry at this schedule position (re-entries after a
             // blocked pause are the same protocol state, not a new one).
-            me.last_rec_pos = me.pos;
+            me.last_rec_pos = proto.pos();
             maybe_kill(q, FaultPlan::kKillRec);
           }
           // Doorbell value read BEFORE the readiness check: an input that
@@ -1428,12 +1211,17 @@ struct ThreadedExecutor::Impl {
             trace_state(q, obs::ProtoState::kExe);
             if (faults_on) maybe_kill(q, FaultPlan::kKillExe);
             if (tracing) trace->record(q, obs::EventKind::kTaskBegin, t);
-            execute_task(t, resolver);
+            execute_task(q, t, resolver);
             if (tracing) trace->record(q, obs::EventKind::kTaskEnd, t);
-            ++me.pos;
-            tp->beat(q, static_cast<std::uint8_t>(ProcState::kExe), me.pos);
+            const std::span<const ContentSend> sends = proto.finish_task();
+            set_state(q, ProcState::kExe);
             if (faults_on) maybe_kill(q, FaultPlan::kKillSnd);
-            complete_task(q, t);  // SND
+            // SND: completion flags, then the content sends of every
+            // version the task completed.
+            trace_state(q, obs::ProtoState::kSnd);
+            for (ProcId dest : plan.tasks[t].flag_dests) send_flag(q, dest, t);
+            proto.route(sends, transmitter(q));
+            bump_progress();
             backoff.reset();
           } else if (service_ra_cq(q)) {  // REC
             backoff.reset();
@@ -1451,7 +1239,7 @@ struct ThreadedExecutor::Impl {
         trace_state(q, obs::ProtoState::kEnd);
         const std::uint64_t seen = bell->value();
         const bool progressed = service_ra_cq(q);
-        if (!me.counted_quiescent && me.suspended_count == 0) {
+        if (!me.counted_quiescent && proto.suspended_count() == 0) {
           me.counted_quiescent = true;
           set_state(q, ProcState::kQuiescent);
           if (tp->note_quiescent(q) == plan.num_procs) {
@@ -1483,39 +1271,6 @@ struct ThreadedExecutor::Impl {
     }
   }
 
-  /// Rank q's counter table as this process holds it. The atomics count
-  /// every rank this process plays, so `with_shared` puts them into
-  /// exactly one rank's table.
-  ShmCounters counter_table(ProcId q, bool with_shared) const {
-    ShmCounters c{};
-    if (with_shared) {
-      for (std::size_t i = 0; i < c.size(); ++i) c[i] = ctr[i].load();
-    }
-    c[kCtrMaps] = priv[q].maps;
-    c[kCtrPeakBytes] = priv[q].memory ? priv[q].memory->peak_bytes() : 0;
-    return c;
-  }
-
-  /// The one counter read-out: adds rank q's table into the report.
-  static void add_counters(RunReport& report, ProcId q, const ShmCounters& c) {
-    report.maps_per_proc[q] = static_cast<std::int32_t>(c[kCtrMaps]);
-    report.peak_bytes_per_proc[q] = c[kCtrPeakBytes];
-    report.content_messages += c[kCtrContentMessages];
-    report.content_bytes += c[kCtrContentBytes];
-    report.put_batches += c[kCtrPutBatches];
-    report.flag_messages += c[kCtrFlagMessages];
-    report.addr_packages += c[kCtrAddrPackages];
-    report.addr_entries += c[kCtrAddrEntries];
-    report.suspended_sends += c[kCtrSuspendedSends];
-    report.tasks_executed += c[kCtrTasksExecuted];
-    report.recovery.nacks_sent += c[kCtrNacksSent];
-    report.recovery.resends += c[kCtrResends];
-    report.recovery.flag_resends += c[kCtrFlagResends];
-    report.recovery.duplicate_suppressions += c[kCtrDupSuppressions];
-    report.recovery.checksum_rejections += c[kCtrChecksumRejections];
-    report.recovery.task_retries += c[kCtrTaskRetries];
-  }
-
   // ---- run orchestration -------------------------------------------------
 
   /// Per-run state reset plus the plan-derived index tables (run() and
@@ -1531,24 +1286,15 @@ struct ThreadedExecutor::Impl {
     snap_acked.store(0);
     exhausted_waiters.store(0);
     stall_report.reset();
-    epoch_base.assign(static_cast<std::size_t>(plan.graph->num_data()), 0);
-    owned_index.assign(static_cast<std::size_t>(plan.graph->num_data()), -1);
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      std::int32_t next = 0;
-      for (DataId d : plan.procs[q].permanents) owned_index[d] = next++;
-    }
   }
 
-  /// Rank q's plan-derived private state: the MAP engine (whose offsets are
-  /// deterministic, so every process derives the same addresses) and the
-  /// owner/reader tables. The free hook pokes rank q's window, so it is
-  /// installed only where this process plays q's protocol role. Requires
-  /// `win` to be populated. Throws NonExecutableError on capacity failure.
+  /// Rank q's protocol core (deterministic MAP offsets: every process
+  /// derives the same addresses) and verification tables. The free hook
+  /// pokes q's window, so only a process playing q installs it. Requires
+  /// `win`. Throws NonExecutableError.
   void setup_proc_state(ProcId q, bool install_free_hook) {
     Private& pr = priv[q];
-    pr.memory = std::make_unique<ProcMemory>(
-        plan, q, config.capacity_per_proc, /*alignment=*/8,
-        config.alloc_policy, config.slab_arena);
+    pr.proto.emplace(plan, q, config, /*alignment=*/8);
     if (install_free_hook &&
         (options.poison_freed || checksum_on || tracing)) {
       // Poison-fill freed volatile regions so a read through a stale
@@ -1565,7 +1311,7 @@ struct ThreadedExecutor::Impl {
       Private* mine = &pr;
       const bool poison = options.poison_freed;
       Impl* self = this;
-      pr.memory->set_free_hook(
+      pr.proto->memory().set_free_hook(
           [heap, mine, poison, self, q](DataId d, mem::Offset off,
                                         std::int64_t size) {
             if (poison && size > 0) {
@@ -1581,28 +1327,15 @@ struct ThreadedExecutor::Impl {
             }
           });
     }
-    if (!config.active_memory) pr.memory->preallocate_all();
-    pr.current_version.assign(
-        static_cast<std::size_t>(plan.graph->num_data()), 0);
-    pr.known_addrs.assign(plan.procs[q].permanents.size() *
-                              static_cast<std::size_t>(plan.num_procs),
-                          mem::kNullOffset);
-    pr.sent_seq.assign(pr.known_addrs.size(), 0);
     pr.verified_seq.assign(static_cast<std::size_t>(plan.graph->num_data()),
                            0);
     pr.rejected_seq.assign(static_cast<std::size_t>(plan.graph->num_data()),
                            0);
-    pr.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
-    pr.batch_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
-    pr.addr_epoch.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    pr.scanned_epoch.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    pr.pkg_seq_sent.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    pr.pkg_seq_seen.assign(static_cast<std::size_t>(plan.num_procs), 0);
   }
 
   /// The one attach-and-set-up step of every process in a run: windows,
-  /// bells, every rank's MAP engine and tables (offsets are deterministic,
-  /// so all processes agree), epochs, baseline prefill and heap samples.
+  /// bells, every rank's protocol core (offsets are deterministic, so all
+  /// processes agree), baseline prefill and heap samples.
   /// Only the ranks this process plays get the free hook and the samples:
   /// every rank in-process, `rank` in a worker process, none in the shm
   /// coordinator (graph::kInvalidProc). Throws NonExecutableError.
@@ -1614,34 +1347,10 @@ struct ThreadedExecutor::Impl {
     const auto plays = [&](ProcId q) {
       return !t.cross_process() || q == rank;
     };
-    // Flattened epoch counters (owner-private: every writer of an object
-    // runs on its owner).
-    std::size_t total_epochs = 0;
-    for (DataId d = 0; d < plan.graph->num_data(); ++d) {
-      epoch_base[d] = total_epochs;
-      total_epochs += plan.objects[d].epochs.size();
-    }
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      setup_proc_state(q, plays(q));
-      priv[q].epoch_remaining.assign(total_epochs, 0);
-    }
-    for (DataId d = 0; d < plan.graph->num_data(); ++d) {
-      const ProcId owner = plan.graph->data(d).owner;
-      for (std::size_t v = 0; v < plan.objects[d].epochs.size(); ++v) {
-        priv[owner].epoch_remaining[epoch_base[d] + v] =
-            static_cast<std::int32_t>(plan.objects[d].epochs[v].size());
-      }
-    }
-    // Baseline: owners learn every reader address before any worker starts.
+    for (ProcId q = 0; q < plan.num_procs; ++q) setup_proc_state(q, plays(q));
     if (!config.active_memory) {
-      for (ProcId reader = 0; reader < plan.num_procs; ++reader) {
-        for (const sched::VolatileLifetime& v :
-             plan.procs[reader].volatiles) {
-          const ProcId owner = plan.graph->data(v.object).owner;
-          addr_slot(priv[owner], v.object, reader) =
-              priv[reader].memory->offset_of(v.object);
-        }
-      }
+      share_baseline_addresses(
+          plan, [this](ProcId r) -> RankProtocol& { return *priv[r].proto; });
     }
     if (!tracing) return;
     // Baseline heap samples (permanents, plus preallocated volatiles in
@@ -1650,9 +1359,9 @@ struct ThreadedExecutor::Impl {
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       if (!plays(q)) continue;
       trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                    priv[q].memory->in_use_bytes());
+                    priv[q].proto->memory().in_use_bytes());
       trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                    priv[q].memory->peak_bytes());
+                    priv[q].proto->memory().peak_bytes());
     }
   }
 
@@ -1775,11 +1484,11 @@ struct ThreadedExecutor::Impl {
     const std::shared_ptr<ProcFailureReport> proc_failure = monitor();
     stop_ranks(threads);
     report.parallel_time_us = wall.seconds() * 1e6;
-    // Where counters are read from: each shm rank published its own table
-    // at exit; in-process the atomics count every rank at once.
+    // Where counters are read from: each rank's own table, after its
+    // thread joined in-process, or as its shm process published it at exit.
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       if (!session) {
-        add_counters(report, q, counter_table(q, /*with_shared=*/q == 0));
+        add_counters(report, q, priv[q].proto->counters());
       } else if (session->transport().worker_done(q)) {
         add_counters(report, q, session->transport().worker_counters(q));
       }
@@ -1834,12 +1543,7 @@ struct ThreadedExecutor::Impl {
 
   ShmRunSpec build_shm_spec(const std::string& trace_dir) const {
     ShmRunSpec spec;
-    spec.capacity_per_proc = config.capacity_per_proc;
-    spec.active_memory = config.active_memory ? 1 : 0;
-    spec.alloc_policy = static_cast<std::uint8_t>(config.alloc_policy);
-    spec.slab_arena = config.slab_arena ? 1 : 0;
-    spec.mailbox_slots = config.mailbox_slots;
-    spec.kernel_dispatch = config.kernel_dispatch;
+    spec.config = config;
     spec.run_id = options.run_id;
     spec.watchdog_seconds = options.watchdog_seconds;
     spec.stall_check_seconds = options.stall_check_seconds;
@@ -1941,16 +1645,11 @@ ThreadedExecutor::~ThreadedExecutor() = default;
 RunReport ThreadedExecutor::run() { return impl_->run(); }
 
 std::vector<std::byte> ThreadedExecutor::read_object(DataId d) const {
-  const Impl& impl = *impl_;
-  RAPID_CHECK(impl.completed,
+  RAPID_CHECK(impl_->completed,
               "ThreadedExecutor::read_object called before a successful "
               "run() — the owner heaps hold no defined content yet");
-  const ProcId owner = impl.plan.graph->data(d).owner;
-  const std::int64_t size = impl.plan.graph->data(d).size_bytes;
-  const mem::Offset off = impl.priv[owner].memory->offset_of(d);
-  const std::byte* base =
-      impl.win[static_cast<std::size_t>(owner)].heap + off;
-  return std::vector<std::byte>(base, base + size);
+  const auto bytes = impl_->bytes_of(impl_->plan.graph->data(d).owner, d);
+  return {bytes.begin(), bytes.end()};
 }
 
 // One rank's worker run against an shm transport: rebuild the run
@@ -1966,13 +1665,7 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
   // exit. (A plain helper function would lose Impl friendship.)
   auto inner = [&]() -> int {
   const ShmRunSpec& spec = transport.spec();
-  RunConfig config;
-  config.capacity_per_proc = spec.capacity_per_proc;
-  config.active_memory = spec.active_memory != 0;
-  config.alloc_policy = static_cast<mem::AllocPolicy>(spec.alloc_policy);
-  config.slab_arena = spec.slab_arena != 0;
-  config.mailbox_slots = spec.mailbox_slots;
-  config.kernel_dispatch = spec.kernel_dispatch;
+  RunConfig config = spec.config;
   config.audit = false;  // the coordinator audited before spawning
   ThreadedOptions options;
   options.run_id = spec.run_id;
@@ -2030,8 +1723,7 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
              transport.quiescent_count() < plan.num_procs) {
     rc = kShmWorkerAborted;
   }
-  transport.publish_worker_done(q,
-                                impl.counter_table(q, /*with_shared=*/true));
+  transport.publish_worker_done(q, impl.priv[q].proto->counters());
   if (impl.tracing && spec.trace_dir[0] != '\0') {
     const std::string path =
         cat(spec.trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");

@@ -20,6 +20,7 @@
 #include "rapid/obs/telemetry.hpp"
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/faults.hpp"
+#include "rapid/rt/map_engine.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/rt/transport.hpp"
@@ -151,34 +152,32 @@ int main(int argc, char** argv) {
           RAPID_CHECK(threaded || executor == "sim",
                       cat("unknown executor '", executor, "'"));
           // First-fit fragmentation and alignment put the practical floor
-          // above MIN_MEM; escalate until the run executes (same policy as
-          // rapid_trace / bench_executor).
-          std::unique_ptr<obs::Trace> trace;
-          rt::RunReport report;
+          // above MIN_MEM: run at the first capacity fraction the MAP
+          // replay admits (same policy as rapid_trace / bench_executor).
           rt::RunConfig config;
           config.params = machine::MachineParams::cray_t3d(procs);
           config.slab_arena = flags.get_bool("slab");
-          std::int64_t& capacity = config.capacity_per_proc;
-          for (double frac = flags.get_double("frac");; frac += 0.1) {
-            capacity = std::max(
-                min + min / 8,
-                static_cast<std::int64_t>(frac *
-                                          static_cast<double>(tot)));
-            trace = std::make_unique<obs::Trace>(procs, tcfg);
-            if (threaded) {
-              rt::ThreadedOptions options;
-              options.trace = trace.get();
-              options.transport = transport;
-              rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
-                                        w->app->make_body(), options);
-              report = exec.run();
-            } else {
-              report = rt::simulate(plan, config, trace.get());
-            }
-            if (report.executable) break;
-            RAPID_CHECK(frac < 1.5, cat("run never became executable: ",
-                                        report.failure));
+          rt::ReplayOptions ropt;
+          ropt.alignment = threaded ? 8 : 1;
+          ropt.slab = config.slab_arena;
+          const std::int64_t capacity = rt::first_executable_capacity(
+              plan, min + min / 8, tot, flags.get_double("frac"), ropt);
+          config.capacity_per_proc = capacity;
+          auto trace = std::make_unique<obs::Trace>(procs, tcfg);
+          rt::RunReport report;
+          if (threaded) {
+            rt::ThreadedOptions options;
+            options.trace = trace.get();
+            options.transport = transport;
+            rt::ThreadedExecutor exec(plan, config, w->app->make_init(),
+                                      w->app->make_body(), options);
+            report = exec.run();
+          } else {
+            report = rt::simulate(plan, config, trace.get());
           }
+          RAPID_CHECK(report.executable,
+                      cat("run not executable at capacity ", capacity, ": ",
+                          report.failure));
 
           verify::ConformanceOptions copt;
           copt.capacity_per_proc = capacity;

@@ -143,6 +143,18 @@ TEST(CliExitCodes, ServeMalformedKnobIsAnInfraErrorNamingTheKey) {
   }
 }
 
+TEST(CliExitCodes, ShmWorkerRejectsMalformedRank) {
+  const std::string bin = binary("src/rapid/rt/rapid_shm_worker");
+  if (bin.empty()) GTEST_SKIP() << "rapid_shm_worker not built";
+  // A rank that does not parse is a usage error, caught before the worker
+  // touches any segment (which would fail as a worker failure instead).
+  for (const std::string value : {"abc", "1x"}) {
+    EXPECT_EQ(run(bin + " --segment=/rapid-none --rank=" + value),
+              kExitInfraError)
+        << value;
+  }
+}
+
 TEST(CliExitCodes, EveryOfflineCliAcceptsEverySpec) {
   const std::vector<std::string> specs = {
       "cholesky:grid=6,block=3,procs=2", "lu:grid=6,block=3,procs=2",

@@ -20,6 +20,7 @@
 #include "rapid/sched/mapping.hpp"
 #include "rapid/sched/ordering.hpp"
 #include "rapid/support/rng.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid::rt::testing {
 
@@ -134,7 +135,7 @@ struct GridApp {
     for (int i = 0; i < rows; ++i) {
       for (int j = 0; j < cols; ++j) {
         objects.push_back(graph.add_data(
-            "g(" + std::to_string(i) + "," + std::to_string(j) + ")", 8,
+            cat("g(", i, ",", j, ")"), 8,
             static_cast<graph::ProcId>((i * cols + j) % procs)));
       }
     }
@@ -142,15 +143,12 @@ struct GridApp {
       for (int j = 0; j < cols; ++j) {
         const graph::DataId d = at(i, j);
         if (i == 0) {
-          graph.add_task("P" + std::to_string(j), {}, {d}, 1.0);
+          graph.add_task(cat("P", j), {}, {d}, 1.0);
         } else {
-          graph.add_task("S(" + std::to_string(i) + "," + std::to_string(j) +
-                             ")",
+          graph.add_task(cat("S(", i, ",", j, ")"),
                          {at(i - 1, j), at(i - 1, (j + 1) % cols)}, {d}, 1.0);
         }
-        graph.add_task("D(" + std::to_string(i) + "," + std::to_string(j) +
-                           ")",
-                       {d}, {d}, 1.0);
+        graph.add_task(cat("D(", i, ",", j, ")"), {d}, {d}, 1.0);
       }
     }
     graph.finalize();

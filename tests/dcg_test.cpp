@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "rapid/graph/dcg.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid::graph {
 namespace {
@@ -139,10 +140,10 @@ TEST(Dcg, ChainGraphProducesChainSlices) {
   // Pipeline: W0 -> R01 -> R12 -> R23; slices follow the data chain.
   TaskGraph g;
   std::vector<DataId> d;
-  for (int i = 0; i < 4; ++i) d.push_back(g.add_data("d" + std::to_string(i), 1));
+  for (int i = 0; i < 4; ++i) d.push_back(g.add_data(cat("d", i), 1));
   g.add_task("W", {}, {d[0]}, 1.0);
   for (int i = 0; i + 1 < 4; ++i) {
-    g.add_task("R" + std::to_string(i), {d[i]}, {d[i + 1]}, 1.0);
+    g.add_task(cat("R", i), {d[i]}, {d[i + 1]}, 1.0);
   }
   g.finalize();
   const Dcg dcg = build_dcg(g);

@@ -8,6 +8,7 @@
 #include "rapid/sparse/generators.hpp"
 #include "rapid/sparse/ordering.hpp"
 #include "rapid/support/rng.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid::sched {
 namespace {
@@ -22,11 +23,11 @@ TEST(Dsc, ChainCollapsesToOneCluster) {
   TaskGraph g;
   std::vector<graph::DataId> d;
   for (int i = 0; i < 6; ++i) {
-    d.push_back(g.add_data("d" + std::to_string(i), 1024));
+    d.push_back(g.add_data(cat("d", i), 1024));
   }
   g.add_task("T0", {}, {d[0]}, 100.0);
   for (int i = 1; i < 6; ++i) {
-    g.add_task("T" + std::to_string(i), {d[i - 1]}, {d[i]}, 100.0);
+    g.add_task(cat("T", i), {d[i - 1]}, {d[i]}, 100.0);
   }
   g.finalize();
   DscStats stats;
@@ -38,8 +39,8 @@ TEST(Dsc, ChainCollapsesToOneCluster) {
 TEST(Dsc, IndependentTasksStaySeparate) {
   TaskGraph g;
   for (int i = 0; i < 5; ++i) {
-    const auto d = g.add_data("d" + std::to_string(i), 8);
-    g.add_task("T" + std::to_string(i), {}, {d}, 100.0);
+    const auto d = g.add_data(cat("d", i), 8);
+    g.add_task(cat("T", i), {}, {d}, 100.0);
   }
   g.finalize();
   const Clustering c = dsc_clusters(g, params4());

@@ -18,6 +18,7 @@
 #include "rapid/sched/mapping.hpp"
 #include "rapid/sched/ordering.hpp"
 #include "rapid/support/rng.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid {
 namespace {
@@ -39,7 +40,7 @@ struct RandomProgram {
     const int num_objects = static_cast<int>(6 + rng.next_below(24));
     const int num_tasks = static_cast<int>(12 + rng.next_below(48));
     for (int d = 0; d < num_objects; ++d) {
-      graph.add_data("d" + std::to_string(d), 8,
+      graph.add_data(cat("d", d), 8,
                      static_cast<graph::ProcId>(d % procs));
     }
     for (int t = 0; t < num_tasks; ++t) {
@@ -52,7 +53,7 @@ struct RandomProgram {
       }
       if (rng.next_bool(0.5)) reads.push_back(target);  // declared RMW
       const std::int32_t group = rng.next_bool(0.3) ? target : -1;
-      graph.add_task("T" + std::to_string(t), std::move(reads), {target},
+      graph.add_task(cat("T", t), std::move(reads), {target},
                      1.0 + static_cast<double>(rng.next_below(20)), group);
     }
     graph.finalize();
@@ -219,7 +220,7 @@ TEST(Corollary1, PipelineProgramsFitPermPlusOneObject) {
     const int procs = 2 + static_cast<int>(rng.next_below(3));
     std::vector<DataId> objs;
     for (int s = 0; s < stages; ++s) {
-      objs.push_back(g.add_data("s" + std::to_string(s), 8,
+      objs.push_back(g.add_data(cat("s", s), 8,
                                 static_cast<graph::ProcId>(s % procs)));
     }
     g.add_task("W", {}, {objs[0]}, 1.0);
@@ -227,10 +228,10 @@ TEST(Corollary1, PipelineProgramsFitPermPlusOneObject) {
       // A few readers of stage s, the last one produces stage s+1.
       const int readers = static_cast<int>(rng.next_below(3));
       for (int r = 0; r < readers; ++r) {
-        g.add_task("R" + std::to_string(s) + "_" + std::to_string(r),
+        g.add_task(cat("R", s, "_", r),
                    {objs[s]}, {objs[s]}, 1.0, /*commute=*/objs[s]);
       }
-      g.add_task("P" + std::to_string(s), {objs[s]}, {objs[s + 1]}, 1.0);
+      g.add_task(cat("P", s), {objs[s]}, {objs[s + 1]}, 1.0);
     }
     g.finalize();
     // Readers of stage s RMW it on its owner; producers write the next.

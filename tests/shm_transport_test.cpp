@@ -318,7 +318,7 @@ TEST(ShmTransportState, BeatsAndWaitRecordsReadBack) {
   dims.num_tasks = 4;
   dims.heap_bytes = 64;
   ShmRunSpec spec;
-  spec.capacity_per_proc = 64;
+  spec.config.capacity_per_proc = 64;
   auto session = ShmSession::create(dims, spec);
   ShmTransport& st = session->transport();
   st.beat(1, /*state=*/3, /*pos=*/17);
@@ -349,7 +349,7 @@ TEST(ShmLease, SilentWorkerAgesItsLease) {
   dims.num_tasks = 2;
   dims.heap_bytes = 64;
   ShmRunSpec spec;
-  spec.capacity_per_proc = 64;
+  spec.config.capacity_per_proc = 64;
   spec.lease_timeout_seconds = 0.2;
   auto session = ShmSession::create(dims, spec);
   ShmTransport& st = session->transport();

@@ -2,6 +2,8 @@
 
 #include <limits>
 #include <set>
+#include <sstream>
+#include <string_view>
 
 #include "rapid/support/check.hpp"
 #include "rapid/support/flags.hpp"
@@ -83,6 +85,20 @@ TEST(Rng, DoubleInUnitInterval) {
     ASSERT_GE(v, 0.0);
     ASSERT_LT(v, 1.0);
   }
+}
+
+TEST(Str, CatPrintsWhatAStreamPrints) {
+  const std::string text = "t";
+  std::ostringstream os;
+  os << "S(" << 3 << ',' << -7L << ")" << text << std::string_view("v")
+     << std::numeric_limits<std::int64_t>::min()
+     << std::numeric_limits<std::uint64_t>::max() << std::size_t{42}
+     << std::uint8_t{65} << std::int8_t{66} << true << 2.5 << 1e-7;
+  EXPECT_EQ(cat("S(", 3, ',', -7L, ")", text, std::string_view("v"),
+                std::numeric_limits<std::int64_t>::min(),
+                std::numeric_limits<std::uint64_t>::max(), std::size_t{42},
+                std::uint8_t{65}, std::int8_t{66}, true, 2.5, 1e-7),
+            os.str());
 }
 
 TEST(Str, Fixed) {

@@ -19,7 +19,9 @@ namespace {
 constexpr char kShmMagic[8] = {'R', 'A', 'P', 'I', 'D', 'S', 'H', 'M'};
 // v2: live_nacks / live_resends mirrors appended to ShmRankCtl so the
 // telemetry sampler can read per-rank recovery traffic mid-run.
-constexpr std::uint32_t kLayoutVersion = 2;
+// v3: ShmRankCtl::wait_started_ns, so the coordinator can time a rank's
+// current re-request episode; ShmRunSpec lost its fixed monitor knobs.
+constexpr std::uint32_t kLayoutVersion = 3;
 /// Bounded NACK ring per destination; a full ring drops the re-request
 /// (the waiter's next deadline re-sends it — NACKs are idempotent).
 constexpr std::int32_t kNackCap = 1024;
@@ -65,6 +67,7 @@ struct alignas(64) ShmRankCtl {
   std::atomic<std::int32_t> wait_map_dest;
   std::atomic<std::int32_t> wait_retries;
   std::atomic<std::uint8_t> wait_exhausted;
+  std::atomic<std::int64_t> wait_started_ns;
   char error_text[448];
   std::atomic<std::int64_t> counters[kNumCounters];
   /// Running recovery totals mirrored by the worker mid-run (the
@@ -80,8 +83,7 @@ static_assert(std::atomic<std::uint8_t>::is_always_lock_free);
 
 /// Mailbox lane header (one per (dest, src) pair), followed by `lane_cap`
 /// fixed-size package slots forming a ring: head = oldest slot, count =
-/// occupancy. Mutated only under the destination's spinlock; count is
-/// atomic so the diagnostics-only occupancy probe needs no lock.
+/// occupancy. Mutated only under the destination's spinlock.
 struct MailLane {
   std::atomic<std::int32_t> head;
   std::atomic<std::int32_t> count;
@@ -412,14 +414,6 @@ void ShmTransport::drain_addr_packages(ProcId me,
   ShmSpinLock::release(mh->lock);
 }
 
-std::int64_t ShmTransport::mailbox_occupancy(ProcId me) {
-  std::int64_t total = 0;
-  for (std::int32_t src = 0; src < l_->p; ++src) {
-    total += l_->mail_lane(me, src)->count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void ShmTransport::push_nack(ProcId dest, const NackRequest& n) {
   NackDstHeader* nh = l_->nack_dst(dest);
   if (!ShmSpinLock::acquire(nh->lock, l_->hdr->abort)) return;
@@ -536,13 +530,15 @@ void ShmTransport::beat_if(ProcId q, std::uint8_t state) {
 
 void ShmTransport::beat_wait(ProcId q, DataId object, std::int32_t version,
                              TaskId flag, ProcId map_dest,
-                             std::int32_t retry_attempts, bool exhausted) {
+                             std::int32_t retry_attempts, bool exhausted,
+                             std::int64_t wait_started_ns) {
   ShmRankCtl& c = l_->ctl[q];
   c.wait_obj.store(object, std::memory_order_relaxed);
   c.wait_ver.store(version, std::memory_order_relaxed);
   c.wait_flag.store(flag, std::memory_order_relaxed);
   c.wait_map_dest.store(map_dest, std::memory_order_relaxed);
   c.wait_retries.store(retry_attempts, std::memory_order_relaxed);
+  c.wait_started_ns.store(wait_started_ns, std::memory_order_relaxed);
   c.wait_exhausted.store(exhausted ? 1 : 0, std::memory_order_release);
   c.lease_ns.store(now_ns(), std::memory_order_release);
 }
@@ -560,6 +556,7 @@ LightState ShmTransport::light(ProcId q) const {
   s.retry_attempts = c.wait_retries.load(std::memory_order_acquire);
   s.retries_exhausted =
       c.wait_exhausted.load(std::memory_order_acquire) != 0;
+  s.wait_started_ns = c.wait_started_ns.load(std::memory_order_acquire);
   return s;
 }
 

@@ -55,10 +55,6 @@ struct ShmRunSpec {
   std::int64_t run_id = -1;
   // ThreadedOptions scalars.
   double watchdog_seconds = 30.0;
-  double stall_check_seconds = 0.5;
-  double snapshot_wait_seconds = 0.25;
-  std::int32_t spin_iters = 64;
-  std::int64_t park_timeout_us = 2000;
   std::uint8_t poison_freed = 0;
   std::uint8_t checksum = 1;
   RetryPolicy retry;
@@ -119,7 +115,6 @@ class ShmTransport final : public Transport {
                              std::int32_t copies) override;
   bool addr_packages_pending(ProcId me) const override;
   void drain_addr_packages(ProcId me, std::vector<AddrPackage>* out) override;
-  std::int64_t mailbox_occupancy(ProcId me) override;
   void push_nack(ProcId dest, const NackRequest& n) override;
   bool nacks_pending(ProcId me) const override;
   void drain_nacks(ProcId me, std::vector<NackRequest>* out) override;
@@ -141,7 +136,7 @@ class ShmTransport final : public Transport {
   void beat_if(ProcId q, std::uint8_t state);
   void beat_wait(ProcId q, DataId object, std::int32_t version, TaskId flag,
                  ProcId map_dest, std::int32_t retry_attempts,
-                 bool exhausted) override;
+                 bool exhausted, std::int64_t wait_started_ns) override;
   void publish_recovery(ProcId q, std::int64_t nacks_sent,
                         std::int64_t resends) override;
   LightState light(ProcId q) const override;

@@ -92,41 +92,26 @@ std::vector<WaitEdge> build_wait_edges(
                      "'s address mailbox slot for p", s.proc, " is full");
       edges.push_back(std::move(e));
     }
-    // Suspended sends wait for the destination's next MAP to publish
-    // addresses — an edge regardless of which state the owner idles in.
-    for (ProcId r = 0;
-         r < static_cast<ProcId>(s.suspended_by_dest.size()); ++r) {
-      if (s.suspended_by_dest[static_cast<std::size_t>(r)] <= 0) continue;
-      WaitEdge e;
-      e.from = s.proc;
-      e.to = r;
-      e.kind = WaitEdge::Kind::kAddrPackage;
-      e.reason =
-          cat(s.suspended_by_dest[static_cast<std::size_t>(r)],
-              " suspended send(s) to p", r, " awaiting its address package");
-      edges.push_back(std::move(e));
-    }
   }
-  // Light snapshots have no suspended-send queue. When no rank could answer
-  // the handshake (all light, as across processes), infer that edge: an
+  // Snapshots carry no suspended-send queue, so that edge is inferred: an
   // owner blocked past every producer of a version a reader awaits has run
   // its SND, so under a frozen bell the put is suspended on the reader's
-  // MAP. (In-process a blocked rank that did not answer is mid-put.)
-  if (std::ranges::any_of(procs, &ProcSnapshot::detailed)) return edges;
+  // MAP. Version 0 is the initial content, sent before the owner's first
+  // task, so it has no producers to pass. (The inference assumes no single
+  // put outlasts the monitor's stall window.)
   for (const ProcSnapshot& s : procs) {
     if (s.state != ProcState::kRecBlocked ||
-        s.waiting_object == graph::kInvalidData || s.waiting_version < 1) {
+        s.waiting_object == graph::kInvalidData || s.waiting_version < 0) {
       continue;
     }
     const ProcId owner = plan.graph->data(s.waiting_object).owner;
     const ProcSnapshot& o = procs[static_cast<std::size_t>(owner)];
     if (!is_blocked(o.state)) continue;
-    const auto& producers =
-        plan.objects[s.waiting_object].epochs[static_cast<std::size_t>(
-            s.waiting_version - 1)];
-    if (!std::ranges::all_of(producers, [&](TaskId t) {
-          return plan.schedule.pos_of_task[t] < o.pos;
-        })) {
+    if (s.waiting_version > 0 &&
+        !std::ranges::all_of(
+            plan.objects[s.waiting_object].epochs[static_cast<std::size_t>(
+                s.waiting_version - 1)],
+            [&](TaskId t) { return plan.schedule.pos_of_task[t] < o.pos; })) {
       continue;
     }
     edges.push_back(
@@ -235,14 +220,7 @@ std::string StallReport::summary() const {
   }
   for (const ProcSnapshot& s : procs) {
     out += cat("  p", s.proc, " [", to_string(s.state), "] pos ", s.pos, "/",
-               s.order_size);
-    if (!s.detailed) {
-      out += " (light snapshot: worker busy in task body)\n";
-      continue;
-    }
-    out += cat(", suspended=", s.suspended_sends,
-               ", mailbox=", s.mailbox_packages, ", parks=", s.parks, "(",
-               s.park_timeouts, " timeouts)\n");
+               s.order_size, "\n");
     for (const RetryRecord& r : s.retry_history) {
       out += cat("    retry: ",
                  r.object != graph::kInvalidData
@@ -275,7 +253,6 @@ JsonValue StallReport::to_json() const {
     JsonValue p = JsonValue::object();
     p["proc"] = s.proc;
     p["state"] = to_string(s.state);
-    p["detailed"] = s.detailed;
     p["pos"] = s.pos;
     p["order_size"] = s.order_size;
     p["current_task"] = s.current_task;
@@ -284,10 +261,6 @@ JsonValue StallReport::to_json() const {
     p["have_version"] = s.have_version;
     p["waiting_flag_task"] = s.waiting_flag_task;
     p["mailbox_full_dest"] = s.mailbox_full_dest;
-    p["suspended_sends"] = s.suspended_sends;
-    p["mailbox_packages"] = s.mailbox_packages;
-    p["parks"] = s.parks;
-    p["park_timeouts"] = s.park_timeouts;
     p["retry_attempts"] = s.retry_attempts;
     JsonValue retries = JsonValue::array();
     for (const RetryRecord& r : s.retry_history) {
@@ -301,14 +274,6 @@ JsonValue StallReport::to_json() const {
       retries.push_back(std::move(rr));
     }
     p["retry_history"] = std::move(retries);
-    JsonValue epochs = JsonValue::array();
-    for (const std::uint32_t e : s.addr_epoch) {
-      epochs.push_back(static_cast<std::int64_t>(e));
-    }
-    p["addr_epoch"] = std::move(epochs);
-    JsonValue susp = JsonValue::array();
-    for (const std::int64_t n : s.suspended_by_dest) susp.push_back(n);
-    p["suspended_by_dest"] = std::move(susp);
     ps.push_back(std::move(p));
   }
   doc["procs"] = std::move(ps);

@@ -2,10 +2,11 @@
 // suspects a stall it snapshots every processor's protocol state, builds
 // the processor-level wait-for graph, and either names the cycle (genuine
 // deadlock — Theorem 1's preconditions were violated) or reports "slow
-// progress" so the monitor resumes waiting. The snapshot protocol is
-// cooperative: each worker publishes its own private state when asked, so
-// the monitor never races worker-owned data (docs/RUNTIME.md, "Failure
-// modes and stall diagnosis").
+// progress" so the monitor resumes waiting. Every snapshot is read from
+// the light state each rank publishes to its transport (state, position
+// and the one wait it is blocked in), on threads and shm processes alike,
+// so the monitor never asks a rank for anything and never races
+// worker-owned data (docs/RUNTIME.md, "The progress monitor").
 #pragma once
 
 #include <string>
@@ -31,25 +32,22 @@ enum class ProcState : std::uint8_t {
 
 const char* to_string(ProcState state);
 
-/// One bounded re-request (recovery) episode on a processor: either a wait
-/// that was healed after `attempts` NACKs, or one whose attempts ran out
-/// (`exhausted`) — the event that escalates to ProtocolDeadlockError.
+/// The bounded re-request (recovery) episode of the wait a processor is
+/// blocked in: `attempts` NACKs so far, or `exhausted` once they ran out —
+/// the event that escalates to ProtocolDeadlockError.
 struct RetryRecord {
   DataId object = graph::kInvalidData;   // content wait (or package target)
   std::int32_t version = -1;             // version the waiter needed
   TaskId flag_task = graph::kInvalidTask;  // flag wait (object invalid)
   std::int32_t attempts = 0;             // NACKs sent for this wait
-  std::int64_t waited_us = 0;            // total steady-clock wait time
+  std::int64_t waited_us = 0;            // steady-clock time since it began
   bool exhausted = false;
 };
 
-/// One processor's state at the stall instant. `detailed` snapshots are
-/// filled by the worker itself (full private state); light snapshots are
-/// synthesized by the monitor from the always-published atomics when a
-/// worker cannot respond (it is inside a long task body).
+/// One processor's state at the stall instant, as its light state
+/// published it.
 struct ProcSnapshot {
   ProcId proc = graph::kInvalidProc;
-  bool detailed = false;
   ProcState state = ProcState::kStart;
   std::int32_t pos = 0;         // position in the static task order
   std::int32_t order_size = 0;
@@ -64,18 +62,11 @@ struct ProcSnapshot {
   // MAP-blocked cause.
   ProcId mailbox_full_dest = graph::kInvalidProc;
 
-  std::int64_t suspended_sends = 0;
-  std::vector<std::int64_t> suspended_by_dest;  // per destination processor
-  std::vector<std::uint32_t> addr_epoch;        // per-peer address epochs
-  std::int64_t mailbox_packages = 0;  // occupancy of this proc's own mailbox
-  std::int64_t parks = 0;
-  std::int64_t park_timeouts = 0;
-
   /// Re-requests issued for the wait the processor is currently blocked in
   /// (0 when recovery is off or the wait is fresh).
   std::int32_t retry_attempts = 0;
-  /// Finished recovery episodes this run, ending with the current wait if
-  /// it has sent any NACKs — the "retry history" the escalation carries.
+  /// The recovery episode of the current wait, once it has sent a NACK
+  /// (empty otherwise): the record an exhaustion escalation carries.
   std::vector<RetryRecord> retry_history;
 };
 
@@ -84,7 +75,7 @@ struct WaitEdge {
   enum class Kind : std::uint8_t {
     kContent,      // waiting for a version of an object owned by `to`
     kFlag,         // waiting for a completion flag from a task on `to`
-    kAddrPackage,  // suspended sends to `to` awaiting its address package
+    kAddrPackage,  // a send to `to` suspended awaiting its address package
     kMailboxSlot,  // MAP blocked until `to` drains its mailbox
   };
   ProcId from = graph::kInvalidProc;
@@ -129,6 +120,9 @@ struct StallReport {
 
 /// Builds wait-for edges from the snapshots. Edges only originate from
 /// blocked states; a processor inside EXE is presumed to make progress.
+/// The address-package edge is inferred: a blocked owner that has passed
+/// every producer of the version a REC-blocked reader awaits (version 0
+/// has none) waits on that reader's address package.
 std::vector<WaitEdge> build_wait_edges(const RunPlan& plan,
                                        const std::vector<ProcSnapshot>& procs);
 

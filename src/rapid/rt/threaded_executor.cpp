@@ -40,6 +40,17 @@ void sleep_us(std::int64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
+/// After this long without progress the monitor builds the wait-for graph
+/// from every rank's light state: a genuine cycle fails the run at once,
+/// anything else is slow progress and the run resumes.
+constexpr double kStallCheckSeconds = 0.5;
+/// Blocked-state backoff: iterations of cheap spinning (cpu_relax, then
+/// yield) before a blocked rank parks on the progress doorbell.
+constexpr std::int32_t kSpinIters = 64;
+/// Park timeout (µs): a doorbell ring normally ends a park; the timeout
+/// bounds how stale a parked rank can go.
+constexpr std::int64_t kParkTimeoutUs = 2000;
+
 }  // namespace
 
 struct ThreadedExecutor::Impl {
@@ -83,12 +94,6 @@ struct ThreadedExecutor::Impl {
     std::int32_t attempts = 0;
     std::int64_t started_ns = 0;
     std::int64_t deadline_ns = 0;
-
-    /// This wait as a retry-history entry, waited until `now` (ns).
-    RetryRecord record(std::int64_t now, bool is_exhausted) const {
-      return {object, version,  flag_task, attempts,
-              (now - started_ns) / 1000, is_exhausted};
-    }
   };
 
   /// The first unmet gate of a task, as seen by its processor right now.
@@ -116,7 +121,7 @@ struct ThreadedExecutor::Impl {
 
   /// Per-processor private state, touched only by its own thread: the
   /// rank's protocol core plus what only this executor has (verification,
-  /// recovery, waits, snapshots, faults).
+  /// recovery, waits, faults).
   struct Private {
     std::optional<RankProtocol> proto;
     /// The staged-but-not-yet-published puts of the batch in flight.
@@ -134,15 +139,8 @@ struct ThreadedExecutor::Impl {
     bool fast_nack = false;
     /// Bounded re-request bookkeeping.
     WaitTracker wait;
-    std::vector<RetryRecord> retry_log;
-    std::size_t exhausted_index = 0;  // retry_log slot of the exhausted wait
-    /// END-state bookkeeping and stall-snapshot plumbing (worker-private).
-    bool counted_quiescent = false;
-    std::optional<Backoff> backoff;  // the worker loop's backoff
-    std::uint64_t snap_seen = 0;     // last snapshot generation served
+    bool counted_quiescent = false;  // END: this rank noted quiescence
     std::int64_t addr_pkgs_sent = 0;  // deterministic per-proc ordinal
-    std::int64_t park_accum = 0;      // parks from finished MAP-send waits
-    std::int64_t timeout_accum = 0;
     /// Process-kill fault bookkeeping: deterministic per-(rank, phase)
     /// entry ordinals (indexed by FaultPlan::kKillRec..kKillMap), and the
     /// last position whose REC entry was counted (REC counts positions,
@@ -183,21 +181,6 @@ struct ThreadedExecutor::Impl {
   /// attempt_deadline_us budget is measured against it.
   Stopwatch since_run_start;
 
-  /// Cooperative stall-snapshot handshake: the monitor bumps snap_gen;
-  /// each worker notices at the top of its protocol loop (or inside a
-  /// blocked MAP send), publishes its own private state into snap_slots,
-  /// and acks. The monitor never touches worker-private data directly.
-  std::atomic<std::uint64_t> snap_gen{0};
-  std::mutex snap_m;
-  std::vector<ProcSnapshot> snap_slots;
-  std::atomic<std::int32_t> snap_acked{0};
-
-  /// Waiters whose bounded re-requests ran out and are still unhealed. The
-  /// monitor escalates only when this is nonzero AND global progress has
-  /// stopped — exhaustion against a merely-slow owner heals itself and
-  /// decrements before the stall window closes.
-  std::atomic<std::int32_t> exhausted_waiters{0};
-
   Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
        TaskBody body_, ThreadedOptions options_)
       : plan(plan_),
@@ -215,7 +198,7 @@ struct ThreadedExecutor::Impl {
         tracing(options_.trace != nullptr && options_.trace->enabled()),
         effective_park_us(faults_on && options_.faults.force_park_timeout
                               ? options_.faults.forced_park_timeout_us
-                              : options_.park_timeout_us),
+                              : kParkTimeoutUs),
         effective_watchdog(
             recovery_on
                 ? std::max(options_.watchdog_seconds,
@@ -479,23 +462,24 @@ struct ThreadedExecutor::Impl {
   }
 
   /// Tracks the wait a blocked processor is in; sends a re-request when the
-  /// wait's steady-clock deadline expires, escalates when attempts run out.
+  /// wait's steady-clock deadline expires, and marks the wait exhausted
+  /// when attempts run out. The caller publishes the wait with beat_wait.
+  /// A changed gate means the previous one was satisfied, so it starts a
+  /// new episode; an exhausted wait that resolves after all (a slow owner,
+  /// not a lost message) ends its episode the same way.
   void note_blocked_wait(ProcId q, const GateRef& gate) {
     Private& me = priv[q];
     WaitTracker& w = me.wait;
     const std::int64_t now = now_ns();
     if (!w.active || w.object != gate.object || w.version != gate.version ||
         w.flag_task != gate.flag_task) {
-      finish_wait(q);  // a changed gate means the previous one was satisfied
-      w.active = true;
-      w.exhausted = false;
-      w.object = gate.object;
-      w.version = gate.version;
-      w.flag_task = gate.flag_task;
-      w.attempts = 0;
-      w.started_ns = now;
-      w.deadline_ns =
-          sat_add_i64(now, sat_mul_i64(options.retry.delay_us(1), 1000));
+      w = {.active = true,
+           .object = gate.object,
+           .version = gate.version,
+           .flag_task = gate.flag_task,
+           .started_ns = now,
+           .deadline_ns = sat_add_i64(
+               now, sat_mul_i64(options.retry.delay_us(1), 1000))};
     }
     if (w.exhausted) return;
     const bool fast = gate.rejected && me.fast_nack;
@@ -503,11 +487,7 @@ struct ThreadedExecutor::Impl {
     me.fast_nack = false;
     if (w.attempts >= options.retry.max_attempts) {
       w.exhausted = true;
-      me.retry_log.push_back(w.record(now, true));
-      me.exhausted_index = me.retry_log.size() - 1;
-      exhausted_waiters.fetch_add(1, std::memory_order_acq_rel);
-      tp->beat_wait(q, w.object, w.version, w.flag_task, graph::kInvalidProc,
-                    w.attempts, true);
+      publish_wait(q, gate);
       control_bell->ring();  // the monitor decides whether to escalate
       return;
     }
@@ -517,21 +497,12 @@ struct ThreadedExecutor::Impl {
     send_nack(q, gate);
   }
 
-  /// Closes the current wait episode: records it in the retry history when
-  /// re-requests were sent, and heals an exhausted wait that resolved after
-  /// all (a slow owner, not a lost message).
-  void finish_wait(ProcId q) {
-    Private& me = priv[q];
-    WaitTracker& w = me.wait;
-    if (!w.active) return;
-    if (w.exhausted) {
-      // Healed after exhausting: the owner was slow.
-      me.retry_log[me.exhausted_index] = w.record(now_ns(), false);
-      exhausted_waiters.fetch_sub(1, std::memory_order_acq_rel);
-    } else if (w.attempts > 0) {
-      me.retry_log.push_back(w.record(now_ns(), false));
-    }
-    w = WaitTracker{};
+  /// Publishes the REC wait q is blocked in, with its re-request episode,
+  /// to the transport's light state: the monitor's view of this rank.
+  void publish_wait(ProcId q, const GateRef& gate) {
+    const WaitTracker& w = priv[q].wait;
+    tp->beat_wait(q, gate.object, gate.version, gate.flag_task,
+                  graph::kInvalidProc, w.attempts, w.exhausted, w.started_ns);
   }
 
   // ---- RA / CQ -----------------------------------------------------------
@@ -610,40 +581,33 @@ struct ThreadedExecutor::Impl {
     // violates); the receiver must suppress the replay.
     std::int32_t copies = 1;
     if (faults_on && faults.dup_addr_package(q, dest, ordinal)) copies = 2;
-    Backoff backoff(*bell, options.spin_iters, effective_park_us);
-    bool sent = false;
+    Backoff backoff(*bell, kSpinIters, effective_park_us);
     while (!tp->aborted()) {
-      if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
-        publish_snapshot(q, backoff.parks(), backoff.park_timeouts(), dest);
-      }
       const std::uint64_t seen = bell->value();
       if (tp->try_send_addr_package(q, dest, stamped, config.mailbox_slots,
                                     copies)) {
         me.proto->package_sent(stamped);
-        sent = true;
         if (tracing) {
           trace->record(q, obs::EventKind::kAddrPkgSend,
                         static_cast<std::int32_t>(stamped.entries.size()),
                         static_cast<std::int32_t>(stamped.seq), dest);
         }
         bump_progress();
-        break;
+        return true;
       }
       if (service_ra_cq(q)) {
         backoff.reset();
       } else {
         // Publish the blocked-on-mailbox state (with the full destination)
-        // before parking so a cross-process coordinator can attribute this
+        // before parking: the monitor's wait-for edge, and what names this
         // wait if the destination's process dies.
         set_state(q, ProcState::kMapBlocked);
         tp->beat_wait(q, graph::kInvalidData, -1, graph::kInvalidTask, dest,
-                      0, false);
+                      0, false, 0);
         traced_pause(q, backoff, seen);
       }
     }
-    me.park_accum += backoff.parks();
-    me.timeout_accum += backoff.park_timeouts();
-    return sent;
+    return false;
   }
 
   // ---- readiness ---------------------------------------------------------
@@ -722,79 +686,11 @@ struct ThreadedExecutor::Impl {
 
   // ---- stall snapshots ---------------------------------------------------
 
-  /// Worker-side answer to a monitor snapshot request: publish everything
-  /// the diagnosis needs from this processor's own private state (never
-  /// read cross-thread), including a re-derivation of what the current
-  /// task is blocked on and the recovery retry history. `map_blocked_dest`
-  /// marks the MAP-blocked state when called from inside
-  /// send_addr_package_blocking.
-  void publish_snapshot(ProcId q, std::int64_t extra_parks,
-                        std::int64_t extra_timeouts, ProcId map_blocked_dest) {
-    Private& me = priv[q];
-    const RankProtocol& proto = *me.proto;
-    const std::uint64_t gen = snap_gen.load(std::memory_order_acquire);
-    ProcSnapshot s;
-    s.proc = q;
-    s.detailed = true;
-    s.pos = proto.pos();
-    s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
-    s.suspended_sends = proto.suspended_count();
-    for (ProcId r = 0; r < plan.num_procs; ++r) {
-      s.suspended_by_dest.push_back(proto.suspended_to(r));
-    }
-    s.addr_epoch = proto.addr_epoch();
-    s.mailbox_packages = tp->mailbox_occupancy(q);
-    s.parks = me.park_accum + (me.backoff ? me.backoff->parks() : 0) +
-              extra_parks;
-    s.park_timeouts = me.timeout_accum +
-                      (me.backoff ? me.backoff->park_timeouts() : 0) +
-                      extra_timeouts;
-    if (recovery_on) {
-      s.retry_history = me.retry_log;
-      if (me.wait.active) {
-        s.retry_attempts = me.wait.attempts;
-        if (me.wait.attempts > 0 && !me.wait.exhausted) {
-          // The in-flight wait, reported as an open (non-exhausted) episode.
-          s.retry_history.push_back(me.wait.record(now_ns(), false));
-        }
-      }
-    }
-    if (map_blocked_dest != graph::kInvalidProc) {
-      s.state = ProcState::kMapBlocked;
-      s.mailbox_full_dest = map_blocked_dest;
-      if (!proto.finished()) s.current_task = proto.current_task();
-    } else if (proto.finished()) {
-      s.state = me.counted_quiescent ? ProcState::kQuiescent
-                                     : ProcState::kEndDrain;
-    } else if (proto.needs_map()) {
-      s.state = ProcState::kMap;
-      s.current_task = proto.current_task();
-    } else {
-      const TaskId t = proto.current_task();
-      s.current_task = t;
-      GateRef gate;
-      if (task_ready(q, t, &gate)) {
-        s.state = ProcState::kExe;  // ready-to-run, snapshot raced the gate
-      } else {
-        s.state = ProcState::kRecBlocked;
-        s.waiting_object = gate.object;
-        s.waiting_version = gate.version;
-        s.have_version = gate.have;
-        s.waiting_flag_task = gate.flag_task;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(snap_m);
-      snap_slots[static_cast<std::size_t>(q)] = std::move(s);
-    }
-    snap_acked.fetch_add(1, std::memory_order_release);
-    me.snap_seen = gen;
-  }
-
-  /// Rank q's stall snapshot from the light state it publishes to the
-  /// transport's control plane: all the shm coordinator sees of a worker
-  /// process, and what the in-process monitor has of a rank inside a task
-  /// body.
+  /// Rank q's stall snapshot, from the light state it publishes to the
+  /// transport on every state change and blocked wait: the one snapshot
+  /// source on both transports, read without q's cooperation. The received
+  /// version comes from q's window, and the current wait's re-request
+  /// episode is rebuilt from its attempts, exhaustion and start time.
   ProcSnapshot light_snapshot(ProcId q) const {
     const LightState l = tp->light(q);
     ProcSnapshot s;
@@ -805,60 +701,33 @@ struct ThreadedExecutor::Impl {
     if (s.pos >= 0 && s.pos < s.order_size) {
       s.current_task = plan.procs[q].order[s.pos];
     }
-    if (s.state == ProcState::kRecBlocked) {
-      s.waiting_object = l.waiting_object;
-      s.waiting_version = l.waiting_version;
-      s.waiting_flag_task = l.waiting_flag;
-    } else if (s.state == ProcState::kMapBlocked) {
-      s.mailbox_full_dest = l.map_dest;
+    if (s.state == ProcState::kMapBlocked) s.mailbox_full_dest = l.map_dest;
+    if (s.state != ProcState::kRecBlocked) return s;
+    s.waiting_object = l.waiting_object;
+    s.waiting_version = l.waiting_version;
+    s.waiting_flag_task = l.waiting_flag;
+    if (l.waiting_object != graph::kInvalidData) {
+      s.have_version = win[static_cast<std::size_t>(q)]
+                           .received_version[l.waiting_object]
+                           .load(std::memory_order_acquire);
     }
     s.retry_attempts = l.retry_attempts;
+    if (l.retry_attempts > 0) {
+      s.retry_history.push_back(
+          {l.waiting_object, l.waiting_version, l.waiting_flag,
+           l.retry_attempts, (now_ns() - l.wait_started_ns) / 1000,
+           l.retries_exhausted});
+    }
     return s;
   }
 
-  /// In-process snapshot source: request snapshots and wait for the
-  /// responsive workers. Ranks inside a task body (or unwound) cannot
-  /// answer; their slots stay undetailed.
-  std::vector<ProcSnapshot> handshake_snapshots() {
-    std::unique_lock<std::mutex> lock(snap_m);
-    snap_slots.assign(static_cast<std::size_t>(plan.num_procs), {});
-    lock.unlock();
-    snap_acked.store(0, std::memory_order_relaxed);
-    snap_gen.fetch_add(1, std::memory_order_release);
-    // Parked workers wake within one park timeout and notice the request;
-    // no ring needed (and a ring would corrupt the progress signal).
-    const std::int64_t deadline_us = std::max<std::int64_t>(
-        static_cast<std::int64_t>(options.snapshot_wait_seconds * 1e6),
-        4 * effective_park_us);
-    Stopwatch sw;
-    for (;;) {
-      int expected = 0;
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        const auto st = static_cast<ProcState>(tp->light(q).state);
-        // kExe workers are inside a body and cannot answer; kFailed
-        // workers have unwound. Everyone else loops and will respond.
-        if (st != ProcState::kExe && st != ProcState::kFailed) ++expected;
-      }
-      if (snap_acked.load(std::memory_order_acquire) >= expected) break;
-      if (sw.seconds() * 1e6 > static_cast<double>(deadline_us)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    lock.lock();
-    return snap_slots;
-  }
-
-  /// Every rank's stall snapshot, diagnosed: from the handshake
-  /// in-process, else (shm, or no answer) from light_snapshot. Rings no
-  /// doorbell: bell.value() is the progress signal the caller re-checks to
-  /// know the snapshots describe one frozen instant.
+  /// Every rank's stall snapshot, diagnosed. Rings no doorbell: bell.value()
+  /// is the progress signal the caller re-checks to know the snapshots
+  /// describe one frozen instant.
   StallReport collect_and_diagnose(double stalled_seconds) {
-    std::vector<ProcSnapshot> snaps =
-        session ? std::vector<ProcSnapshot>(
-                      static_cast<std::size_t>(plan.num_procs))
-                : handshake_snapshots();
+    std::vector<ProcSnapshot> snaps;
     for (ProcId q = 0; q < plan.num_procs; ++q) {
-      ProcSnapshot& s = snaps[static_cast<std::size_t>(q)];
-      if (!s.detailed) s = light_snapshot(q);
+      snaps.push_back(light_snapshot(q));
     }
     StallReport report = diagnose_stall(plan, std::move(snaps),
                                         stalled_seconds, tp->failure_texts());
@@ -914,12 +783,10 @@ struct ThreadedExecutor::Impl {
            (session && session->all_exited());
   }
 
-  /// Whether a waiter ran out of re-requests and is still blocked.
-  /// In-process the workers count such waits; a worker process records
-  /// one in its rank's control slot.
+  /// Whether a waiter ran out of re-requests and is still blocked, as its
+  /// light state says. An exhausted wait against a merely slow owner heals
+  /// and leaves REC-blocked before the stall window closes.
   bool retries_exhausted() const {
-    if (exhausted_waiters.load(std::memory_order_acquire) > 0) return true;
-    if (!session) return false;
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       const LightState l = tp->light(q);
       if (l.retries_exhausted &&
@@ -968,7 +835,7 @@ struct ThreadedExecutor::Impl {
 
   /// The progress monitor, one for both transports: parked on the control
   /// doorbell, it checks for dead ranks, cancellation and progress on a
-  /// heartbeat. After stall_check_seconds without progress it builds the
+  /// heartbeat. After kStallCheckSeconds without progress it builds the
   /// wait-for graph from a snapshot — a genuine cycle (or a wait on a
   /// quiescent processor) fails the run at once with the StallReport;
   /// anything else is slow progress and the run resumes. With recovery on,
@@ -981,7 +848,7 @@ struct ThreadedExecutor::Impl {
   /// unblocking event rings it. Returns the dead rank's report if one died.
   std::shared_ptr<ProcFailureReport> monitor() {
     const double stall_after =
-        std::min(options.stall_check_seconds, effective_watchdog);
+        std::min(kStallCheckSeconds, effective_watchdog);
     const std::int64_t heartbeat_us = std::clamp<std::int64_t>(
         static_cast<std::int64_t>(stall_after * 1e6 / 4), 1000, 250000);
     std::uint64_t last = bell->value();
@@ -1133,12 +1000,8 @@ struct ThreadedExecutor::Impl {
       }
       proto.route(pp.initial_sends, transmitter(q));
 
-      me.backoff.emplace(*bell, options.spin_iters, effective_park_us);
-      Backoff& backoff = *me.backoff;
+      Backoff backoff(*bell, kSpinIters, effective_park_us);
       while (!tp->aborted()) {
-        if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
-          publish_snapshot(q, 0, 0, graph::kInvalidProc);
-        }
         if (!proto.finished()) {
           if (proto.needs_map()) {
             // MAP state.
@@ -1189,7 +1052,7 @@ struct ThreadedExecutor::Impl {
           const std::uint64_t seen = bell->value();
           GateRef gate;
           if (task_ready(q, t, &gate)) {
-            if (recovery_on) finish_wait(q);
+            me.wait = WaitTracker{};
             if (tracing) {
               // The task's remote inputs are now all trusted: close the
               // put→publish→consume flows on the reader side. The stamp is
@@ -1228,9 +1091,7 @@ struct ThreadedExecutor::Impl {
           } else {
             set_state(q, ProcState::kRecBlocked);
             if (recovery_on) note_blocked_wait(q, gate);
-            tp->beat_wait(q, gate.object, gate.version, gate.flag_task,
-                          graph::kInvalidProc, me.wait.attempts,
-                          me.wait.exhausted);
+            publish_wait(q, gate);
             traced_pause(q, backoff, seen);
           }
           continue;
@@ -1280,11 +1141,6 @@ struct ThreadedExecutor::Impl {
     priv.clear();
     priv.resize(static_cast<std::size_t>(plan.num_procs));
     win.clear();
-    snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
-                      ProcSnapshot{});
-    snap_gen.store(0);
-    snap_acked.store(0);
-    exhausted_waiters.store(0);
     stall_report.reset();
   }
 
@@ -1441,22 +1297,23 @@ struct ThreadedExecutor::Impl {
     set_log_thread_run(options.run_id);
     const bool shm = options.transport == TransportKind::kShm;
 
-    // Shm workers dump their trace rings into trace_dir for the merge.
-    std::string trace_dir = options.shm_trace_dir;
-    const bool throwaway_trace_dir = shm && tracing && trace_dir.empty();
+    // Shm workers dump their trace rings into a throwaway directory under
+    // the system temp dir, merged and removed after the run.
+    const bool shm_trace = shm && tracing;
+    std::string trace_dir;
     if (tracing) {
       RAPID_CHECK(trace->num_procs() >= plan.num_procs,
                   "the Trace is sized for fewer processors than the plan");
       // Tag the trace with its owning run before any worker writes a
       // record, so multi-tenant Chrome traces split per run.
       if (options.run_id > 0) trace->set_run_id(options.run_id);
-      if (throwaway_trace_dir) {
+      if (shm_trace) {
         trace_dir = (std::filesystem::temp_directory_path() /
                      cat("rapid-trace-", ::getpid(), "-",
                          now_ns() & 0xffffff))
                         .string();
+        std::filesystem::create_directories(trace_dir);
       }
-      if (shm) std::filesystem::create_directories(trace_dir);
     }
 
     try {
@@ -1493,14 +1350,14 @@ struct ThreadedExecutor::Impl {
         add_counters(report, q, session->transport().worker_counters(q));
       }
     }
+    if (shm_trace) {
+      merge_worker_traces(trace_dir);
+      std::error_code ec;
+      std::filesystem::remove_all(trace_dir, ec);
+    }
     if (tracing) {
-      if (shm) merge_worker_traces(trace_dir);
       report.metrics = std::make_shared<obs::MetricsSummary>(
           obs::derive_metrics(*trace));
-      if (throwaway_trace_dir) {
-        std::error_code ec;
-        std::filesystem::remove_all(trace_dir, ec);
-      }
     }
 
     if (proc_failure) {
@@ -1546,10 +1403,6 @@ struct ThreadedExecutor::Impl {
     spec.config = config;
     spec.run_id = options.run_id;
     spec.watchdog_seconds = options.watchdog_seconds;
-    spec.stall_check_seconds = options.stall_check_seconds;
-    spec.snapshot_wait_seconds = options.snapshot_wait_seconds;
-    spec.spin_iters = options.spin_iters;
-    spec.park_timeout_us = options.park_timeout_us;
     spec.poison_freed = options.poison_freed ? 1 : 0;
     spec.checksum = options.checksum ? 1 : 0;
     spec.retry = options.retry;
@@ -1670,10 +1523,6 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
   ThreadedOptions options;
   options.run_id = spec.run_id;
   options.watchdog_seconds = spec.watchdog_seconds;
-  options.stall_check_seconds = spec.stall_check_seconds;
-  options.snapshot_wait_seconds = spec.snapshot_wait_seconds;
-  options.spin_iters = spec.spin_iters;
-  options.park_timeout_us = spec.park_timeout_us;
   options.poison_freed = spec.poison_freed != 0;
   options.checksum = spec.checksum != 0;
   options.retry = spec.retry;

@@ -105,16 +105,6 @@ class InProcTransport final : public Transport {
     mine.mailbox_pending.store(0, std::memory_order_relaxed);
   }
 
-  std::int64_t mailbox_occupancy(ProcId me) override {
-    PerProc& mine = *procs_[static_cast<std::size_t>(me)];
-    std::lock_guard<std::mutex> lock(mine.mailbox_m);
-    std::int64_t n = 0;
-    for (const auto& slot : mine.mailbox) {
-      n += static_cast<std::int64_t>(slot.size());
-    }
-    return n;
-  }
-
   void push_nack(ProcId dest, const NackRequest& n) override {
     PerProc& dst = *procs_[static_cast<std::size_t>(dest)];
     {
@@ -184,11 +174,33 @@ class InProcTransport final : public Transport {
     s.pos.store(pos, std::memory_order_release);
   }
 
+  // The same store/load orders as the shm control slots: the wait fields
+  // relaxed, then the exhaustion flag with release.
+  void beat_wait(ProcId q, DataId object, std::int32_t version, TaskId flag,
+                 ProcId map_dest, std::int32_t retry_attempts, bool exhausted,
+                 std::int64_t wait_started_ns) override {
+    LightStatus& s = status_[static_cast<std::size_t>(q)];
+    s.wait_obj.store(object, std::memory_order_relaxed);
+    s.wait_ver.store(version, std::memory_order_relaxed);
+    s.wait_flag.store(flag, std::memory_order_relaxed);
+    s.wait_map_dest.store(map_dest, std::memory_order_relaxed);
+    s.wait_retries.store(retry_attempts, std::memory_order_relaxed);
+    s.wait_started_ns.store(wait_started_ns, std::memory_order_relaxed);
+    s.wait_exhausted.store(exhausted, std::memory_order_release);
+  }
+
   LightState light(ProcId q) const override {
     const LightStatus& s = status_[static_cast<std::size_t>(q)];
     LightState out;
     out.state = s.state.load(std::memory_order_acquire);
     out.pos = s.pos.load(std::memory_order_acquire);
+    out.retries_exhausted = s.wait_exhausted.load(std::memory_order_acquire);
+    out.waiting_object = s.wait_obj.load(std::memory_order_relaxed);
+    out.waiting_version = s.wait_ver.load(std::memory_order_relaxed);
+    out.waiting_flag = s.wait_flag.load(std::memory_order_relaxed);
+    out.map_dest = s.wait_map_dest.load(std::memory_order_relaxed);
+    out.retry_attempts = s.wait_retries.load(std::memory_order_relaxed);
+    out.wait_started_ns = s.wait_started_ns.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -212,6 +224,13 @@ class InProcTransport final : public Transport {
   struct alignas(64) LightStatus {
     std::atomic<std::uint8_t> state{0};
     std::atomic<std::int32_t> pos{0};
+    std::atomic<DataId> wait_obj{graph::kInvalidData};
+    std::atomic<std::int32_t> wait_ver{-1};
+    std::atomic<TaskId> wait_flag{graph::kInvalidTask};
+    std::atomic<ProcId> wait_map_dest{graph::kInvalidProc};
+    std::atomic<std::int32_t> wait_retries{0};
+    std::atomic<bool> wait_exhausted{false};
+    std::atomic<std::int64_t> wait_started_ns{0};
   };
 
   const std::int32_t num_procs_;

@@ -78,9 +78,10 @@ struct WindowView {
 
 /// One processor's coarse liveness/progress record, readable by the
 /// monitor (in-proc) or the coordinator (shm) without cooperation from the
-/// processor itself. The wait fields mirror the blocked-state beat_wait()
-/// publications; lease_ns is 0 until the first beat and meaningful only on
-/// cross-process transports.
+/// processor itself: the one source every stall snapshot is built from.
+/// The wait fields mirror the last blocked-state beat_wait() publication;
+/// lease_ns is 0 until the first beat and meaningful only on cross-process
+/// transports.
 struct LightState {
   std::uint8_t state = 0;  // rt::ProcState
   std::int32_t pos = 0;
@@ -91,6 +92,10 @@ struct LightState {
   ProcId map_dest = graph::kInvalidProc;
   std::int32_t retry_attempts = 0;
   bool retries_exhausted = false;
+  /// now_ns() when the current re-request episode began (0 when recovery
+  /// is off or the rank is not in one): the monitor derives the wait's
+  /// duration from it.
+  std::int64_t wait_started_ns = 0;
 };
 
 class Transport {
@@ -151,8 +156,6 @@ class Transport {
   /// Drains every pending package into `out` (append, source-major FIFO)
   /// and clears the pending count.
   virtual void drain_addr_packages(ProcId me, std::vector<AddrPackage>* out) = 0;
-  /// Occupancy across all source lanes (diagnostics only).
-  virtual std::int64_t mailbox_occupancy(ProcId me) = 0;
 
   // -- NACK channel (coarse) ---------------------------------------------
 
@@ -199,15 +202,13 @@ class Transport {
   /// Heartbeat: publishes q's protocol state and position (release) and,
   /// on cross-process transports, refreshes q's lease.
   virtual void beat(ProcId q, std::uint8_t state, std::int32_t pos) = 0;
-  /// Publishes what q is blocked on, for coordinator-side diagnosis of
-  /// peers that can no longer answer snapshot requests. No-op in-proc
-  /// (the cooperative snapshot plane covers it).
+  /// Publishes what q is blocked on (the fields of LightState after
+  /// lease_ns), so the monitor or coordinator can build q's stall snapshot
+  /// and name its wait without q's cooperation.
   virtual void beat_wait(ProcId q, DataId object, std::int32_t version,
                          TaskId flag, ProcId map_dest,
-                         std::int32_t retry_attempts, bool exhausted) {
-    (void)q; (void)object; (void)version; (void)flag; (void)map_dest;
-    (void)retry_attempts; (void)exhausted;
-  }
+                         std::int32_t retry_attempts, bool exhausted,
+                         std::int64_t wait_started_ns) = 0;
   /// Publishes q's running recovery-traffic totals (NACKs sent, content
   /// resends) so an external sampler can read per-rank health *during* a
   /// run. Cross-process transports mirror these into the control segment;

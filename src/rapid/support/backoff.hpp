@@ -90,8 +90,7 @@ class Doorbell final : public Bell {
   /// Parks until value() != seen, `timeout_us` elapses, or a spurious
   /// wakeup. Callers re-check their own predicate afterwards regardless.
   /// Returns whether the counter moved past `seen` (i.e. the wakeup carried
-  /// progress) — false means a pure timeout/spurious wakeup, which the
-  /// stall diagnostics count separately from productive rings.
+  /// progress); false means a pure timeout or spurious wakeup.
   bool wait(std::uint64_t seen, std::int64_t timeout_us) override {
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     {
@@ -160,10 +159,6 @@ class Backoff {
   void reset() { attempts_ = 0; }
 
   std::int64_t parks() const { return parks_; }
-  /// Parks that ended on the timeout (or a spurious wakeup) rather than a
-  /// productive ring — the signal the forced-park-timeout fault class
-  /// amplifies and the stall snapshots record.
-  std::int64_t park_timeouts() const { return park_timeouts_; }
 
  private:
   Bell& bell_;
@@ -171,7 +166,6 @@ class Backoff {
   std::int64_t park_timeout_us_;
   std::int32_t attempts_ = 0;
   std::int64_t parks_ = 0;
-  std::int64_t park_timeouts_ = 0;
 };
 
 }  // namespace rapid

@@ -324,7 +324,7 @@ TEST(ShmTransportState, BeatsAndWaitRecordsReadBack) {
   st.beat(1, /*state=*/3, /*pos=*/17);
   st.beat_wait(1, /*object=*/2, /*version=*/4, /*flag=*/graph::kInvalidTask,
                /*map_dest=*/graph::kInvalidProc, /*retry_attempts=*/2,
-               /*exhausted=*/false);
+               /*exhausted=*/false, /*wait_started_ns=*/12345);
   const LightState l = st.light(1);
   EXPECT_EQ(l.state, 3);
   EXPECT_EQ(l.pos, 17);
@@ -333,6 +333,7 @@ TEST(ShmTransportState, BeatsAndWaitRecordsReadBack) {
   EXPECT_EQ(l.waiting_flag, graph::kInvalidTask);
   EXPECT_EQ(l.retry_attempts, 2);
   EXPECT_FALSE(l.retries_exhausted);
+  EXPECT_EQ(l.wait_started_ns, 12345);
   EXPECT_GT(l.lease_ns, 0);
 }
 
@@ -511,6 +512,47 @@ TEST_P(MonitorTransport, DisabledRecoveryDeadlockFailsFailStop) {
         << e.what();
   }
   EXPECT_EQ(exec.last_report().failure_kind, FailureKind::kDeadlock);
+}
+
+TEST_P(MonitorTransport, ExhaustedRetriesNameTheWait) {
+  // The first address package and every re-request are lost, so a waiter's
+  // bounded retries run out. The escalation must name that wait, read from
+  // the rank's light state on either transport.
+  constexpr int kProcs = 4;
+  CounterApp app(kProcs);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  ThreadedOptions opts = options();
+  opts.retry = RetryPolicy::standard();
+  opts.faults.drop_addr_src = 0;
+  opts.faults.drop_addr_nth = 1;
+  opts.faults.drop_nacks = true;
+  ThreadedExecutor exec(app.plan, app.config(liveness.min_mem()),
+                        app.make_init(), app.make_body(), opts);
+  Stopwatch elapsed;
+  try {
+    exec.run();
+    ADD_FAILURE() << "lost re-requests must exhaust the waiter's retries";
+  } catch (const ProtocolDeadlockError& e) {
+    EXPECT_LT(elapsed.seconds(), 15.0);  // escalated, not the watchdog
+    ASSERT_NE(e.report(), nullptr) << e.what();
+    const StallReport& report = *e.report();
+    EXPECT_TRUE(report.retries_exhausted);
+    const RetryRecord* exhausted = nullptr;
+    for (const ProcSnapshot& s : report.procs) {
+      for (const RetryRecord& rec : s.retry_history) {
+        if (rec.exhausted) exhausted = &rec;
+      }
+    }
+    ASSERT_NE(exhausted, nullptr) << report.summary();
+    EXPECT_EQ(exhausted->attempts, opts.retry.max_attempts);
+    EXPECT_GT(exhausted->waited_us, 0);
+    EXPECT_NE(report.summary().find("EXHAUSTED"), std::string::npos)
+        << report.summary();
+    EXPECT_EQ(std::string(e.what()).rfind("recovery retries exhausted: ", 0),
+              0u)
+        << e.what();
+  }
+  EXPECT_EQ(exec.last_report().failure_kind, FailureKind::kRetriesExhausted);
 }
 
 TEST_P(MonitorTransport, AttemptDeadlineCancelsTheRun) {

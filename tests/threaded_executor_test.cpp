@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "counter_app.hpp"
+#include "rapid/rt/stall.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/support/check.hpp"
@@ -248,6 +249,101 @@ TEST(ThreadedExecutor, WritingNonOwnedObjectThrows) {
       });
   EXPECT_THROW(exec.run(), ExecutionFailedError);
   EXPECT_TRUE(violated.load());
+}
+
+// ---- wait-for graph from light snapshots ------------------------------------
+
+/// Two ranks, three objects: p0 runs A (reads c at its initial version 0,
+/// writes a) then Ab (reads b at version 1, writes a); p1 runs Wb (writes
+/// b). The snapshots below are built by hand, as the monitor reads them
+/// from each rank's light state.
+struct StallFixture {
+  graph::TaskGraph graph;
+  graph::DataId a, b, c;
+  graph::TaskId task_a, task_wb, task_ab;
+  sched::Schedule schedule;
+  RunPlan plan;
+
+  StallFixture() {
+    a = graph.add_data("a", 8, 0);
+    b = graph.add_data("b", 8, 1);
+    c = graph.add_data("c", 8, 1);
+    task_a = graph.add_task("A", {c}, {a}, 1.0);
+    task_wb = graph.add_task("Wb", {}, {b}, 1.0);
+    task_ab = graph.add_task("Ab", {b}, {a}, 1.0);
+    graph.finalize();
+    schedule = sched::schedule_rcp(graph, sched::owner_compute_tasks(graph, 2),
+                                   2, machine::MachineParams::cray_t3d(2));
+    plan = build_run_plan(graph, schedule);
+  }
+
+  ProcSnapshot rec_blocked(ProcId q, std::int32_t pos, graph::DataId d,
+                           std::int32_t version) const {
+    ProcSnapshot s = snapshot(q, ProcState::kRecBlocked, pos);
+    s.current_task = plan.procs[q].order[pos];
+    s.waiting_object = d;
+    s.waiting_version = version;
+    return s;
+  }
+
+  ProcSnapshot snapshot(ProcId q, ProcState state, std::int32_t pos) const {
+    ProcSnapshot s;
+    s.proc = q;
+    s.state = state;
+    s.pos = pos;
+    s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
+    return s;
+  }
+};
+
+std::vector<WaitEdge> addr_edges(const std::vector<WaitEdge>& edges) {
+  std::vector<WaitEdge> out;
+  for (const WaitEdge& e : edges) {
+    if (e.kind == WaitEdge::Kind::kAddrPackage) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(StallDiagnosis, VersionZeroWaitOnABlockedOwnerAwaitsTheAddressPackage) {
+  const StallFixture f;
+  ASSERT_EQ(f.plan.procs[0].order,
+            (std::vector<graph::TaskId>{f.task_a, f.task_ab}));
+  ASSERT_EQ(f.plan.procs[1].order, (std::vector<graph::TaskId>{f.task_wb}));
+  // p0 waits on c's initial content; p1 drains at END. Version 0 has no
+  // producer to pass, so its send can only be suspended on p0's package.
+  const std::vector<ProcSnapshot> procs = {
+      f.rec_blocked(0, 0, f.c, 0),
+      f.snapshot(1, ProcState::kEndDrain, 1)};
+  const std::vector<WaitEdge> addr = addr_edges(build_wait_edges(f.plan, procs));
+  ASSERT_EQ(addr.size(), 1u);
+  EXPECT_EQ(addr[0].from, 1);
+  EXPECT_EQ(addr[0].to, 0);
+  EXPECT_EQ(addr[0].object, f.c);
+  const StallReport report = diagnose_stall(f.plan, procs, 0.6, {});
+  EXPECT_TRUE(report.genuine_deadlock);
+  EXPECT_EQ(report.cycle.size(), 2u);
+}
+
+TEST(StallDiagnosis, AddressPackageEdgeNeedsABlockedOwnerPastTheProducers) {
+  const StallFixture f;
+  // p1 has run Wb, the producer of b's version 1: the edge holds.
+  EXPECT_EQ(addr_edges(build_wait_edges(
+                           f.plan, {f.rec_blocked(0, 1, f.b, 1),
+                                    f.snapshot(1, ProcState::kEndDrain, 1)}))
+                .size(),
+            1u);
+  // p1 has not run Wb yet: its send of version 1 was never due.
+  ProcSnapshot map_blocked = f.snapshot(1, ProcState::kMapBlocked, 0);
+  map_blocked.mailbox_full_dest = 0;
+  const std::vector<WaitEdge> edges =
+      build_wait_edges(f.plan, {f.rec_blocked(0, 1, f.b, 1), map_blocked});
+  EXPECT_TRUE(addr_edges(edges).empty());
+  EXPECT_EQ(edges.size(), 2u);  // the content wait and the mailbox slot
+  // An owner inside a task body is presumed to progress, version 0 or not.
+  EXPECT_TRUE(addr_edges(build_wait_edges(
+                             f.plan, {f.rec_blocked(0, 0, f.c, 0),
+                                      f.snapshot(1, ProcState::kExe, 0)}))
+                  .empty());
 }
 
 }  // namespace

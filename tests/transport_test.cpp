@@ -73,7 +73,6 @@ TEST(InProcTransport, MailboxBoundCopiesAndDrainOrder) {
   ASSERT_TRUE(tp->try_send_addr_package(0, 1, pkg, /*slot_bound=*/2,
                                         /*copies=*/2));
   EXPECT_TRUE(tp->addr_packages_pending(1));
-  EXPECT_EQ(tp->mailbox_occupancy(1), 2);
   AddrPackage third = pkg;
   third.seq = 2;
   third.crc = third.checksum();
@@ -86,7 +85,6 @@ TEST(InProcTransport, MailboxBoundCopiesAndDrainOrder) {
   EXPECT_EQ(got[0].seq, 1u);
   EXPECT_EQ(got[1].seq, 1u);
   EXPECT_FALSE(tp->addr_packages_pending(1));
-  EXPECT_EQ(tp->mailbox_occupancy(1), 0);
 }
 
 TEST(InProcTransport, NackChannel) {
@@ -134,16 +132,30 @@ TEST(InProcTransport, ControlPlaneQuiescenceAbortFailures) {
 TEST(InProcTransport, BeatsFeedLightState) {
   auto tp = make_inproc_transport(2, 2, 2, 64);
   tp->beat(1, /*state=*/3, /*pos=*/17);
-  // In-process, beat_wait is deliberately a no-op: the monitor diagnoses
-  // stalls from full cooperative snapshots, and light() carries only the
-  // state/pos the pre-transport LightStatus did. The wait fields are
-  // meaningful on the shm backend (shm_transport_test covers them).
+  // The wait record is what the monitor builds rank 1's stall snapshot
+  // from, so every field must round-trip, as on the shm backend.
   tp->beat_wait(1, /*object=*/1, /*version=*/4, /*flag=*/graph::kInvalidTask,
                 /*map_dest=*/graph::kInvalidProc, /*retry_attempts=*/2,
-                /*exhausted=*/false);
+                /*exhausted=*/true, /*wait_started_ns=*/12345);
   const LightState l = tp->light(1);
   EXPECT_EQ(l.state, 3);
   EXPECT_EQ(l.pos, 17);
+  EXPECT_EQ(l.waiting_object, 1);
+  EXPECT_EQ(l.waiting_version, 4);
+  EXPECT_EQ(l.waiting_flag, graph::kInvalidTask);
+  EXPECT_EQ(l.map_dest, graph::kInvalidProc);
+  EXPECT_EQ(l.retry_attempts, 2);
+  EXPECT_TRUE(l.retries_exhausted);
+  EXPECT_EQ(l.wait_started_ns, 12345);
+  // A MAP-blocked wait replaces the REC one; rank 0 is untouched.
+  tp->beat_wait(1, graph::kInvalidData, -1, graph::kInvalidTask,
+                /*map_dest=*/0, 0, false, 0);
+  const LightState m = tp->light(1);
+  EXPECT_EQ(m.waiting_object, graph::kInvalidData);
+  EXPECT_EQ(m.map_dest, 0);
+  EXPECT_EQ(m.retry_attempts, 0);
+  EXPECT_FALSE(m.retries_exhausted);
+  EXPECT_EQ(tp->light(0).waiting_object, graph::kInvalidData);
 }
 
 // ---- counter identity ------------------------------------------------------
